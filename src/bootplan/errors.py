@@ -53,11 +53,12 @@ class TooLarge(BootplanError):
 
 
 class IterationLimitExceeded(BootplanError):
-    """Row generation did not converge within the iteration cap."""
+    """Row generation or the master simplex hit its iteration cap."""
 
 
 class NumericalFailure(BootplanError):
-    """The LP solver hit a degenerate pivot or failed to make progress."""
+    """The master simplex found no pivot above tolerance (an unbounded
+    direction), or separation re-found a row the master already holds."""
 
 
 class NoFeasibleCandidate(BootplanError):

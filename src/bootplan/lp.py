@@ -10,16 +10,16 @@ added row, a violated row is never already present, and there are finitely
 many rows.  The final weights certify feasibility of the relaxation because
 the same table that would expose a violation comes back clean.
 
-The master is solved by a dense bounded-variable primal simplex with Bland's
-anti-cycling rule.  Explicit [0,1] bounds on the structural variables avoid
-big-M rows, and starting every structural variable at its upper bound makes
-the all-surplus basis feasible, so no phase-1 is needed.  Variables outside
+The master is solved through its LP dual, a packing LP, by a dense primal
+simplex with Bland's anti-cycling rule.  The all-slack basis of the packing
+LP is feasible, so no phase 1 is needed, and the covering weights come back
+as its dual prices.  The bounds x <= 1 are left out: a 0/1 covering LP has
+no optimum with a weight above 1, so they never bind.  Variables outside
 every row are never entered into the master; they are 0 at any optimum.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence, Set
 from dataclasses import dataclass
 from typing import TextIO
@@ -33,10 +33,6 @@ from .paths import VIOLATION_TOL, backtrack_interesting_path, level_lengths
 PIVOT_TOL = 1e-12
 _REDCOST_TOL = 1e-9
 
-_AT_LOWER = 0
-_AT_UPPER = 1
-_BASIC = 2
-
 
 @dataclass(frozen=True)
 class LpResult:
@@ -48,84 +44,44 @@ class LpResult:
 
 
 def _solve_covering_lp(a: np.ndarray) -> tuple[np.ndarray, float]:
-    """min 1'y  s.t.  A y >= 1,  0 <= y <= 1, for a dense 0/1 matrix A.
+    """min 1'x  s.t.  A x >= 1,  x >= 0, for a dense 0/1 matrix A.
 
-    Bounded-variable primal simplex on the tableau [A | -I] y,s = 1.  The
-    initial basis is the surplus block with every structural variable at its
-    upper bound, which is feasible because every row is nonempty.
+    Primal simplex on the packing dual  max 1'z  s.t.  A'z <= 1,  z >= 0,
+    i.e. the tableau [A' | I | 1] started from its feasible slack basis.
+    At the optimum x is the dual price of each packing row, which is minus
+    the reduced cost of that row's slack.
     """
     m, k = a.shape
-    ncols = k + m
-    tableau = np.hstack([-a, np.eye(m)])
-    upper = np.concatenate([np.ones(k), np.full(m, np.inf)])
-    cost = np.concatenate([np.ones(k), np.zeros(m)])
-    status = np.concatenate(
-        [np.full(k, _AT_UPPER, dtype=np.int8), np.full(m, _BASIC, dtype=np.int8)]
-    )
-    basis = np.arange(k, k + m)
-    xb = a.sum(axis=1) - 1.0
-    if (xb < -PIVOT_TOL).any():
-        raise NumericalFailure("initial covering basis infeasible (empty row?)")
-
-    # The reduced-cost row starts at `cost` (surplus basis prices to zero)
-    # and is updated in place by every pivot, like one more tableau row.
-    reduced = cost.copy()
-    limit = 200 * (m + ncols) + 1000
+    tableau = np.hstack([a.T, np.eye(k), np.ones((k, 1))])
+    # Reduced costs of z and the slacks (the last entry, under the right-hand
+    # side, is minus the objective); every pivot updates this row like one
+    # more tableau row.
+    reduced = np.concatenate([np.ones(m), np.zeros(k + 1)])
+    basis = np.arange(m, m + k)
+    limit = 200 * (2 * m + k) + 1000
     for _ in range(limit):
-        eligible = ((status == _AT_LOWER) & (reduced < -_REDCOST_TOL)) | (
-            (status == _AT_UPPER) & (reduced > _REDCOST_TOL)
-        )
-        candidates = np.flatnonzero(eligible)
+        candidates = np.flatnonzero(reduced[:-1] > _REDCOST_TOL)
         if candidates.size == 0:
             break
         j = int(candidates[0])  # Bland: smallest index enters
-        direction = 1.0 if status[j] == _AT_LOWER else -1.0
-        step_col = direction * tableau[:, j]
-
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.full(m, np.inf)
-            dec = step_col > PIVOT_TOL
-            ratios[dec] = xb[dec] / step_col[dec]
-            inc = step_col < -PIVOT_TOL
-            room = upper[basis[inc]] - xb[inc]
-            ratios[inc] = room / -step_col[inc]
-        row_limit = ratios.min() if m else math.inf
-        bound_limit = upper[j]
-
-        if bound_limit <= row_limit:
-            if not math.isfinite(bound_limit):
-                raise NumericalFailure("unbounded direction in covering LP")
-            # Bound flip: variable crosses to its other bound, basis unchanged.
-            xb = xb - bound_limit * step_col
-            status[j] = _AT_LOWER if status[j] == _AT_UPPER else _AT_UPPER
-            continue
-
-        tie_rows = np.flatnonzero(ratios <= row_limit)
-        r = int(tie_rows[np.argmin(basis[tie_rows])])  # Bland: smallest leaving index
-        pivot = tableau[r, j]
-        if abs(pivot) < PIVOT_TOL:
-            raise NumericalFailure(f"pivot magnitude {abs(pivot):.3e} below tolerance")
-
-        entering_value = (0.0 + row_limit) if direction > 0 else (upper[j] - row_limit)
-        leaving = int(basis[r])
-        xb = xb - row_limit * step_col
-        status[leaving] = _AT_LOWER if step_col[r] > 0 else _AT_UPPER
-        pivot_row = tableau[r] / pivot
         col = tableau[:, j].copy()
+        # Only entries above PIVOT_TOL may pivot; without one the direction
+        # is unbounded, which a packing LP over nonempty rows never is.
+        rows = np.flatnonzero(col > PIVOT_TOL)
+        if rows.size == 0:
+            raise NumericalFailure("no pivot above tolerance: unbounded direction")
+        ratios = tableau[rows, -1] / col[rows]
+        ties = rows[ratios <= ratios.min()]
+        r = int(ties[np.argmin(basis[ties])])  # Bland: smallest leaving index
+        pivot_row = tableau[r] / col[r]
         tableau -= np.outer(col, pivot_row)
         tableau[r] = pivot_row
         reduced -= reduced[j] * pivot_row
         basis[r] = j
-        status[j] = _BASIC
-        xb[r] = entering_value
     else:
-        raise NumericalFailure("simplex iteration limit hit")
+        raise IterationLimitExceeded("simplex iteration limit hit")
 
-    z = np.zeros(ncols)
-    at_upper = status == _AT_UPPER
-    z[at_upper] = upper[at_upper]
-    z[basis] = xb
-    x = np.clip(z[:k], 0.0, 1.0)
+    x = np.clip(-reduced[m:-1], 0.0, 1.0)
     return x, float(x.sum())
 
 
@@ -144,7 +100,9 @@ def solve_restricted_master(n: int, rows: Sequence[Set[int]]) -> tuple[list[floa
         for v in r:
             if not 0 <= v < n:
                 raise ValueError(f"row references vertex {v} outside 0..{n - 1}")
-    active = sorted(set().union(*row_sets))
+    # Bland's rule is valid under any fixed column order; descending ids send
+    # ties between optimal weight vectors to the later vertex.
+    active = sorted(set().union(*row_sets), reverse=True)
     col = {v: i for i, v in enumerate(active)}
     a = np.zeros((len(row_sets), len(active)))
     for i, r in enumerate(row_sets):

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import random
 
-from bootplan import formats, generate
+from bootplan import formats, generate, lp
 from bootplan.cli import main
+from bootplan.errors import IterationLimitExceeded
 
 CHAIN = """\
 # four multiplications in a row
@@ -124,6 +125,16 @@ def test_solve_exact_cap_exits_3(tmp_path, capsys):
     )
     assert code == 3
     assert "error:" in capsys.readouterr().err
+
+
+def test_simplex_iteration_cap_exits_3(tmp_path, capsys, monkeypatch):
+    def capped(a):
+        raise IterationLimitExceeded("simplex iteration limit hit")
+
+    monkeypatch.setattr(lp, "_solve_covering_lp", capped)
+    circuit = write(tmp_path, "c.txt", CHAIN)
+    assert main(["solve", circuit, "--level", "3"]) == 3
+    assert "error: simplex iteration limit hit" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_2(tmp_path, capsys):

@@ -11,9 +11,10 @@ from hypothesis import given, settings
 from scipy.optimize import linprog
 
 import oracles
+from bootplan import lp
 from bootplan.circuit import is_feasible_by_levels
 from bootplan.errors import IterationLimitExceeded
-from bootplan.generate import random_circuit
+from bootplan.generate import layered, random_circuit
 from bootplan.lp import solve_relaxation, solve_restricted_master
 from bootplan.paths import enumerate_interesting_paths, level_lengths
 from strategies import build, circuits
@@ -73,6 +74,14 @@ def test_duplicate_vertex_row_requires_full_unit():
     assert objective == pytest.approx(1.0)
 
 
+def test_simplex_iteration_cap_raises(monkeypatch):
+    # With a negative tolerance every basic column stays eligible to enter
+    # and pivots onto itself, so only the iteration cap ends the loop.
+    monkeypatch.setattr(lp, "_REDCOST_TOL", -1.0)
+    with pytest.raises(IterationLimitExceeded):
+        solve_restricted_master(3, [frozenset({0, 2})])
+
+
 def test_empty_row_rejected():
     with pytest.raises(ValueError):
         solve_restricted_master(2, [frozenset()])
@@ -110,6 +119,34 @@ def test_master_matches_vertex_enumeration_on_small_lps():
         _, objective = solve_restricted_master(n, rows)
         expected = oracles.covering_lp_by_vertex_enumeration(rows, n)
         assert objective == pytest.approx(expected, abs=1e-9)
+
+
+def test_master_matches_highs_at_master_scale():
+    """Sizes and degeneracy of the masters that 150-vertex circuits at L=2
+    produce: many short rows over shared vertices, some nested in earlier
+    rows and some repeated."""
+    rng = random.Random(17)
+    for trial in range(12):
+        n = rng.randint(40, 100)
+        rows: list[frozenset[int]] = []
+        for _ in range(rng.randint(60, 150)):
+            kind = rng.random()
+            if rows and kind < 0.15:
+                rows.append(rng.choice(rows))
+            elif rows and kind < 0.35:
+                base = sorted(rng.choice(rows))
+                if len(base) > 1 and rng.random() < 0.5:
+                    rows.append(frozenset(rng.sample(base, len(base) - 1)))
+                else:
+                    rows.append(frozenset(base) | {rng.randrange(n)})
+            else:
+                rows.append(frozenset(rng.sample(range(n), rng.randint(2, 8))))
+        weights, objective = solve_restricted_master(n, rows)
+        assert all(0.0 <= w <= 1.0 for w in weights)
+        for row in rows:
+            assert sum(weights[v] for v in row) >= 1.0 - 1e-7
+        assert objective == pytest.approx(sum(weights), abs=1e-9)
+        assert objective == pytest.approx(scipy_covering_optimum(rows, n), abs=1e-7)
 
 
 # --- row generation ---------------------------------------------------------
@@ -162,6 +199,16 @@ def test_relaxation_lower_bounds_every_feasible_set():
         full_rows = {frozenset(p[:-1]) for p in paths}
         full = scipy_covering_optimum(sorted(full_rows, key=sorted), c.n)
         assert result.objective == pytest.approx(full, abs=1e-6)
+
+
+def test_relaxation_on_a_degenerate_400_vertex_master():
+    # Its masters grow to about 230 highly degenerate rows over 180 vertices;
+    # the solve must finish and agree with HiGHS on the rows it generated.
+    c = layered(10, 40, 0.3, 1)
+    result = solve_relaxation(c, 3)
+    assert result.objective == pytest.approx(
+        scipy_covering_optimum(result.rows, c.n), abs=1e-6
+    )
 
 
 def test_trace_lines_and_monotone_objective():
