@@ -20,8 +20,17 @@ from .circuit import (
     max_level,
     validate,
 )
-from .dvd import DvdInstance, ReductionMap, pull_back, push_forward, reduce_to_circuit, validate_dvd
-from .exact import ExactResult, dvd_is_feasible, exact_bootstrap, exact_dvd, longest_path_vertices
+from .dvd import (
+    DvdInstance,
+    ReductionMap,
+    dvd_is_feasible,
+    longest_path_vertices,
+    pull_back,
+    push_forward,
+    reduce_to_circuit,
+    validate_dvd,
+)
+from .exact import ExactResult, exact_bootstrap, exact_dvd
 from .generate import layered, random_circuit, random_dvd, red_chain, series_parallel
 from .lp import LpResult, solve_relaxation, solve_restricted_master
 from .paths import (

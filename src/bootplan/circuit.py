@@ -85,6 +85,41 @@ def require_level(level: int) -> None:
         raise ValueError(f"noise budget must be an integer >= 1, got {level!r}")
 
 
+def dag_order(
+    n: int, arcs: Iterable[tuple[int, int]], what: str
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """Topological order plus ascending unique preds/succs of a graph on 0..n-1.
+
+    Arcs must have endpoints in range; repeated arcs collapse.  Kahn's
+    algorithm pops the smallest ready id first, so the order is deterministic.
+    Raises CycleDetected("<what> contains a cycle") when the graph is cyclic.
+    """
+    pred_sets: list[set[int]] = [set() for _ in range(n)]
+    succ_sets: list[set[int]] = [set() for _ in range(n)]
+    for src, dst in arcs:
+        pred_sets[dst].add(src)
+        succ_sets[src].add(dst)
+
+    remaining = [len(pred_sets[v]) for v in range(n)]
+    ready = [v for v in range(n) if remaining[v] == 0]
+    heapq.heapify(ready)
+    topo: list[int] = []
+    while ready:
+        v = heapq.heappop(ready)
+        topo.append(v)
+        for w in succ_sets[v]:
+            remaining[w] -= 1
+            if remaining[w] == 0:
+                heapq.heappush(ready, w)
+    if len(topo) != n:
+        raise CycleDetected(f"{what} contains a cycle")
+    return (
+        tuple(topo),
+        tuple(tuple(sorted(s)) for s in pred_sets),
+        tuple(tuple(sorted(s)) for s in succ_sets),
+    )
+
+
 def validate(
     raw_vertices: Iterable[tuple[int, Color]],
     raw_edges: Iterable[tuple[int, ...]],
@@ -144,33 +179,14 @@ def validate(
                 v, expected, indeg[v], name_tuple[v] if name_tuple else None
             )
 
-    pred_sets: list[set[int]] = [set() for _ in range(n)]
-    succ_sets: list[set[int]] = [set() for _ in range(n)]
-    for src, dst in mult:
-        pred_sets[dst].add(src)
-        succ_sets[src].add(dst)
-
-    # Kahn's algorithm, smallest id first, so the order is deterministic.
-    remaining = [len(pred_sets[v]) for v in range(n)]
-    ready = [v for v in range(n) if remaining[v] == 0]
-    heapq.heapify(ready)
-    topo: list[int] = []
-    while ready:
-        v = heapq.heappop(ready)
-        topo.append(v)
-        for w in succ_sets[v]:
-            remaining[w] -= 1
-            if remaining[w] == 0:
-                heapq.heappush(ready, w)
-    if len(topo) != n:
-        raise CycleDetected("circuit graph contains a cycle")
+    topo, preds, succs = dag_order(n, mult, "circuit graph")
 
     return Circuit(
         colors=tuple(colors),  # type: ignore[arg-type]
         edges=tuple(sorted((s, d, m) for (s, d), m in mult.items())),
-        topo=tuple(topo),
-        preds=tuple(tuple(sorted(s)) for s in pred_sets),
-        succs=tuple(tuple(sorted(s)) for s in succ_sets),
+        topo=topo,
+        preds=preds,
+        succs=succs,
         names=name_tuple,
     )
 

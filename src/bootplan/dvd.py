@@ -1,7 +1,9 @@
 """DAG vertex deletion (DVD) instances and the reduction to bootstrapping.
 
 DVD asks for a minimum set of vertices whose removal leaves no directed path
-with L vertices (L >= 2).  The reduction maps an instance H to a circuit G
+with L vertices (L >= 2); dvd_is_feasible tests a deletion set against that
+rule.  Adjacency and topological order come from circuit.dag_order, the
+builder circuits use too.  The reduction maps an instance H to a circuit G
 whose minimum bootstrap sets have the same size:
 
   * every original vertex becomes Red and keeps its id;
@@ -21,13 +23,12 @@ is what pull_back exploits.
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import Iterable, Mapping, Set
 from dataclasses import dataclass
 from functools import cached_property
 
-from .circuit import Circuit, Color, is_feasible_by_levels, validate
-from .errors import CycleDetected, InfeasibleInput, UnknownVertex
+from .circuit import Circuit, Color, dag_order, is_feasible_by_levels, validate
+from .errors import InfeasibleInput, UnknownVertex
 
 
 @dataclass(frozen=True)
@@ -73,33 +74,36 @@ def validate_dvd(
         if len(name_tuple) != n:
             raise ValueError("names must cover every vertex")
 
-    pred_sets: list[set[int]] = [set() for _ in range(n)]
-    succ_sets: list[set[int]] = [set() for _ in range(n)]
-    for src, dst in edge_set:
-        pred_sets[dst].add(src)
-        succ_sets[src].add(dst)
-    remaining = [len(pred_sets[v]) for v in range(n)]
-    ready = [v for v in range(n) if remaining[v] == 0]
-    heapq.heapify(ready)
-    topo: list[int] = []
-    while ready:
-        v = heapq.heappop(ready)
-        topo.append(v)
-        for w in succ_sets[v]:
-            remaining[w] -= 1
-            if remaining[w] == 0:
-                heapq.heappush(ready, w)
-    if len(topo) != n:
-        raise CycleDetected("deletion instance contains a cycle")
+    topo, preds, succs = dag_order(n, edge_set, "deletion instance")
 
     return DvdInstance(
         edges=tuple(sorted(edge_set)),
         level=level,
-        topo=tuple(topo),
-        preds=tuple(tuple(sorted(s)) for s in pred_sets),
-        succs=tuple(tuple(sorted(s)) for s in succ_sets),
+        topo=topo,
+        preds=preds,
+        succs=succs,
         names=name_tuple,
     )
+
+
+def longest_path_vertices(instance: DvdInstance, deleted: Set[int]) -> int:
+    """Vertex count of the longest directed path avoiding deleted vertices."""
+    gone = frozenset(deleted)
+    best = 0
+    count: dict[int, int] = {}
+    for v in instance.topo:
+        if v in gone:
+            continue
+        c = 1 + max((count[u] for u in instance.preds[v] if u not in gone), default=0)
+        count[v] = c
+        if c > best:
+            best = c
+    return best
+
+
+def dvd_is_feasible(instance: DvdInstance, deleted: Set[int]) -> bool:
+    """True when no remaining path contains `instance.level` vertices."""
+    return longest_path_vertices(instance, deleted) <= instance.level - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,8 +207,6 @@ def pull_back(rmap: ReductionMap, marks: Set[int]) -> frozenset[int]:
 
 def push_forward(rmap: ReductionMap, deleted: Set[int]) -> frozenset[int]:
     """Mark set from a feasible deletion set; ids coincide on originals."""
-    from .exact import dvd_is_feasible
-
     if not dvd_is_feasible(rmap.dvd, deleted):
         raise InfeasibleInput("deletion set is not feasible for the DVD instance")
     return frozenset(deleted)

@@ -1,20 +1,21 @@
 """Exhaustive oracles, used as ground truth by tests and the CLI.
 
-Both searches enumerate candidate subsets in increasing cardinality and stop
-at the first feasible one, so the witness has minimum size.  The candidate
-space is capped up front (default 2**24 subsets) and TooLarge is raised when
-it would be bigger; an explicit size budget shrinks that space.
+exact_bootstrap and exact_dvd run one subset search: candidate subsets in
+increasing cardinality, stopping at the first feasible one, so the witness
+has minimum size.  The candidate space is capped up front (default 2**24
+subsets) and TooLarge is raised when it would be bigger; an explicit size
+budget shrinks that space.  DVD feasibility itself lives in bootplan.dvd.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Set
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from itertools import combinations
 
 from .circuit import Circuit, Color, eval_levels, require_level
-from .dvd import DvdInstance
+from .dvd import DvdInstance, dvd_is_feasible
 from .errors import TooLarge
 
 DEFAULT_SUBSET_CAP = 1 << 24
@@ -27,10 +28,30 @@ class ExactResult:
     explored: int
 
 
-def _space_size(n: int, budget: int | None) -> int:
-    if budget is None or budget >= n:
-        return 1 << n
-    return sum(math.comb(n, k) for k in range(budget + 1))
+def _smallest_feasible(
+    pool: Sequence[int],
+    feasible: Callable[[frozenset[int]], bool],
+    budget: int | None,
+    max_subsets: int,
+) -> ExactResult | None:
+    """First feasible subset of `pool` in (size, lexicographic) order.
+
+    Raises TooLarge when the subsets of size <= budget outnumber max_subsets;
+    returns None when none of them is feasible.
+    """
+    n = len(pool)
+    top = n if budget is None else min(budget, n)
+    space = 1 << n if top == n else sum(math.comb(n, k) for k in range(top + 1))
+    if space > max_subsets:
+        raise TooLarge(f"candidate space over {n} vertices exceeds {max_subsets} subsets")
+    explored = 0
+    for size in range(top + 1):
+        for combo in combinations(pool, size):
+            explored += 1
+            subset = frozenset(combo)
+            if feasible(subset):
+                return ExactResult(optimum=size, witness=subset, explored=explored)
+    return None
 
 
 def exact_bootstrap(
@@ -48,39 +69,12 @@ def exact_bootstrap(
     """
     require_level(level)
     candidates = [v for v in range(circuit.n) if circuit.colors[v] is not Color.WHITE]
-    if _space_size(len(candidates), budget) > max_subsets:
-        raise TooLarge(
-            f"candidate space over {len(candidates)} vertices exceeds {max_subsets} subsets"
-        )
-    top = len(candidates) if budget is None else min(budget, len(candidates))
-    explored = 0
-    for size in range(top + 1):
-        for combo in combinations(candidates, size):
-            explored += 1
-            marks = frozenset(combo)
-            if max(eval_levels(circuit, marks), default=0) <= level:
-                return ExactResult(optimum=size, witness=marks, explored=explored)
-    return None
-
-
-def longest_path_vertices(instance: DvdInstance, deleted: Set[int]) -> int:
-    """Vertex count of the longest directed path avoiding deleted vertices."""
-    gone = frozenset(deleted)
-    best = 0
-    count: dict[int, int] = {}
-    for v in instance.topo:
-        if v in gone:
-            continue
-        c = 1 + max((count[u] for u in instance.preds[v] if u not in gone), default=0)
-        count[v] = c
-        if c > best:
-            best = c
-    return best
-
-
-def dvd_is_feasible(instance: DvdInstance, deleted: Set[int]) -> bool:
-    """True when no remaining path contains `instance.level` vertices."""
-    return longest_path_vertices(instance, deleted) <= instance.level - 1
+    return _smallest_feasible(
+        candidates,
+        lambda marks: max(eval_levels(circuit, marks), default=0) <= level,
+        budget,
+        max_subsets,
+    )
 
 
 def exact_dvd(
@@ -89,15 +83,9 @@ def exact_dvd(
     max_subsets: int = DEFAULT_SUBSET_CAP,
 ) -> ExactResult | None:
     """Minimum-cardinality deletion set by brute force over all vertices."""
-    n = instance.n
-    if _space_size(n, budget) > max_subsets:
-        raise TooLarge(f"candidate space over {n} vertices exceeds {max_subsets} subsets")
-    top = n if budget is None else min(budget, n)
-    explored = 0
-    for size in range(top + 1):
-        for combo in combinations(range(n), size):
-            explored += 1
-            deleted = frozenset(combo)
-            if dvd_is_feasible(instance, deleted):
-                return ExactResult(optimum=size, witness=deleted, explored=explored)
-    return None
+    return _smallest_feasible(
+        range(instance.n),
+        lambda deleted: dvd_is_feasible(instance, deleted),
+        budget,
+        max_subsets,
+    )

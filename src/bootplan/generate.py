@@ -4,7 +4,7 @@ Every generator takes a seed (or a random.Random) and produces the same
 instance for the same arguments, so generated files are byte-identical
 across runs.  Indegree rules are enforced by construction: non-source
 vertices draw exactly two predecessors (possibly the same one twice, which
-becomes a parallel edge) or have their single in-edge doubled.
+validate merges into a double edge) or have their single in-edge doubled.
 """
 
 from __future__ import annotations
@@ -54,13 +54,8 @@ def layered(
                 color = Color.RED if rng.random() < red_fraction else Color.BLUE
                 vertices.append((vid, color))
                 base = (layer - 1) * width
-                a = base + rng.randrange(width)
-                b = base + rng.randrange(width)
-                if a == b:
-                    edges.append((a, vid, 2))
-                else:
-                    edges.append((a, vid, 1))
-                    edges.append((b, vid, 1))
+                edges.append((base + rng.randrange(width), vid, 1))
+                edges.append((base + rng.randrange(width), vid, 1))
             names.append(f"n{layer}_{slot}")
     return validate(vertices, edges, names=names)
 
@@ -136,13 +131,8 @@ def random_circuit(
             continue
         color = Color.RED if rng.random() < red_fraction else Color.BLUE
         vertices.append((v, color))
-        a = rng.randrange(v)
-        b = rng.randrange(v)
-        if a == b:
-            edges.append((a, v, 2))
-        else:
-            edges.append((a, v, 1))
-            edges.append((b, v, 1))
+        edges.append((rng.randrange(v), v, 1))
+        edges.append((rng.randrange(v), v, 1))
     return validate(vertices, edges)
 
 

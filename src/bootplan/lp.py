@@ -140,9 +140,10 @@ def solve_relaxation(
         weights, objective = solve_restricted_master(n, rows)
         tables = level_lengths(circuit, level, weights)
         final_row = tables.lengths[level + 1]
-        added = 0
+        violated = added = 0
         for v in circuit.red_vertices:
             if final_row[v] < 1.0 - tol:
+                violated += 1
                 row = frozenset(backtrack_interesting_path(tables, v)[:-1])
                 if row not in seen:
                     seen.add(row)
@@ -151,7 +152,7 @@ def solve_relaxation(
         if trace is not None:
             trace.write(f"{iteration}\t{objective:.9f}\t{added}\n")
         if added == 0:
-            if any(final_row[v] < 1.0 - tol for v in circuit.red_vertices):
+            if violated:
                 raise NumericalFailure(
                     "separation found a violated row already present in the master"
                 )

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence, Set
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -130,6 +131,7 @@ def blue_distances(circuit: Circuit, weights: Sequence[float]) -> dict[int, dict
     return out
 
 
+@dataclass(frozen=True, eq=False)
 class LevelTables:
     """Per-level minimum path lengths plus backtracking parents.
 
@@ -138,24 +140,11 @@ class LevelTables:
     weights is the x vector the table was computed against.
     """
 
-    def __init__(
-        self,
-        circuit: Circuit,
-        budget: int,
-        weights: list[float],
-        lengths: list[list[float]],
-        parents: list[list[int]],
-    ):
-        self.circuit = circuit
-        self.budget = budget
-        self.weights = weights
-        self.lengths = lengths
-        self.parents = parents
-
-    @cached_property
-    def blue_distances(self) -> dict[int, dict[int, float]]:
-        # Lazy: only small-instance consistency checks ever need the full table.
-        return blue_distances(self.circuit, self.weights)
+    circuit: Circuit
+    budget: int
+    weights: list[float]
+    lengths: list[list[float]]
+    parents: list[list[int]]
 
     @cached_property
     def length_matrix(self) -> np.ndarray:

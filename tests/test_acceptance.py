@@ -15,8 +15,8 @@ import time
 import oracles
 from bootplan.baselines import after_every_red, greedy_topological
 from bootplan.circuit import is_feasible_by_levels
-from bootplan.dvd import pull_back, reduce_to_circuit
-from bootplan.exact import dvd_is_feasible, exact_bootstrap, exact_dvd
+from bootplan.dvd import dvd_is_feasible, pull_back, reduce_to_circuit
+from bootplan.exact import exact_bootstrap, exact_dvd
 from bootplan.generate import layered, random_circuit, random_dvd, red_chain
 from bootplan.lp import solve_relaxation
 from bootplan.paths import is_feasible_by_paths, level_lengths

@@ -7,11 +7,18 @@ import random
 import pytest
 
 from bootplan.circuit import Color, is_feasible_by_levels
-from bootplan.dvd import pull_back, push_forward, reduce_to_circuit, validate_dvd
+from bootplan.dvd import (
+    dvd_is_feasible,
+    pull_back,
+    push_forward,
+    reduce_to_circuit,
+    validate_dvd,
+)
 from bootplan.errors import CycleDetected, InfeasibleInput, UnknownVertex
-from bootplan.exact import dvd_is_feasible, exact_bootstrap, exact_dvd
-from bootplan.generate import random_dvd
+from bootplan.exact import exact_bootstrap, exact_dvd
+from bootplan.generate import layered, random_circuit, random_dvd
 from bootplan.paths import enumerate_interesting_paths
+from strategies import build
 
 
 def test_validate_dvd_rejects_small_level():
@@ -23,6 +30,25 @@ def test_validate_dvd_rejects_unknown_and_cycles():
     with pytest.raises(UnknownVertex):
         validate_dvd(2, [(0, 2)], 2)
     with pytest.raises(CycleDetected):
+        validate_dvd(2, [(0, 1), (1, 0)], 2)
+
+
+def test_deletion_instances_share_the_circuit_graph_order():
+    # Both validators build adjacency and topological order with one
+    # helper, so the same arcs give the same graph either way.
+    circuits = [layered(5, 6, 0.4, s) for s in range(4)]
+    circuits += [random_circuit(25, s) for s in range(4)]
+    for c in circuits:
+        inst = validate_dvd(c.n, [(s, d) for s, d, _ in c.edges], 2)
+        assert inst.topo == c.topo
+        assert inst.preds == c.preds
+        assert inst.succs == c.succs
+
+
+def test_cycle_messages_name_the_graph_kind():
+    with pytest.raises(CycleDetected, match="^circuit graph contains a cycle$"):
+        build("wbb", (0, 1), (2, 1), (1, 2, 2))
+    with pytest.raises(CycleDetected, match="^deletion instance contains a cycle$"):
         validate_dvd(2, [(0, 1), (1, 0)], 2)
 
 

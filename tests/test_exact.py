@@ -10,14 +10,9 @@ from hypothesis import given, settings
 
 import oracles
 from bootplan.circuit import Color
-from bootplan.dvd import validate_dvd
+from bootplan.dvd import dvd_is_feasible, longest_path_vertices, validate_dvd
 from bootplan.errors import TooLarge
-from bootplan.exact import (
-    dvd_is_feasible,
-    exact_bootstrap,
-    exact_dvd,
-    longest_path_vertices,
-)
+from bootplan.exact import exact_bootstrap, exact_dvd
 from bootplan.generate import random_dvd
 from strategies import build, circuits
 

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
 
 from bootplan.circuit import Color
+from bootplan.formats import format_circuit, format_dvd
 from bootplan.generate import (
     layered,
     random_circuit,
@@ -93,3 +95,17 @@ def test_random_dvd_edges_are_forward():
     inst = random_dvd(10, 3, seed=5, edge_probability=0.5)
     assert all(u < v for u, v in inst.edges)
     assert inst.level == 3
+
+
+def test_generator_output_is_frozen():
+    # Generated files must stay byte-identical across releases: saved
+    # instances and benchmark inputs are replayed from (generator, seed).
+    digest = hashlib.sha256()
+    for s in range(50):
+        digest.update(format_circuit(layered(8, 9, 0.4, s)).encode())
+        digest.update(format_circuit(random_circuit(30, s)).encode())
+        digest.update(format_circuit(series_parallel(40, 0.5, s)).encode())
+        digest.update(format_dvd(random_dvd(10, 3, s)).encode())
+    assert digest.hexdigest() == (
+        "33ab4e06b0a6f45fe1ba4e96ee7443fbc4a4890d77ffd2f6dae4d8610585531c"
+    )

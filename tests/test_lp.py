@@ -13,8 +13,8 @@ from scipy.optimize import linprog
 import oracles
 from bootplan import lp
 from bootplan.circuit import is_feasible_by_levels
-from bootplan.errors import IterationLimitExceeded
-from bootplan.generate import layered, random_circuit
+from bootplan.errors import IterationLimitExceeded, NumericalFailure
+from bootplan.generate import layered, random_circuit, red_chain
 from bootplan.lp import solve_relaxation, solve_restricted_master
 from bootplan.paths import enumerate_interesting_paths, level_lengths
 from strategies import build, circuits
@@ -159,6 +159,14 @@ def test_no_interesting_paths_means_zero_objective():
     assert result.weights == [0.0] * 3
     assert result.constraints_generated == 0
     assert result.iterations == 1
+
+
+def test_separation_repeating_a_master_row_raises(monkeypatch):
+    # A master that ignores its rows leaves the chain's one interesting path
+    # violated, so the second round re-finds a row it already holds.
+    monkeypatch.setattr(lp, "solve_restricted_master", lambda n, rows: ([0.0] * n, 0.0))
+    with pytest.raises(NumericalFailure):
+        solve_relaxation(red_chain(4), 1)
 
 
 def test_chain_relaxation_value_one():

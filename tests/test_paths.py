@@ -204,7 +204,7 @@ def test_blue_rows_compose_from_red_rows_and_delta():
     )
     x = [0.0, 0.15, 0.3, 0.2, 0.05, 0.0]
     t = level_lengths(c, 2, x)
-    delta = t.blue_distances
+    delta = blue_distances(t.circuit, t.weights)
     for i in range(1, 4):
         for v in c.blue_vertices:
             expected = min(
@@ -237,7 +237,7 @@ def test_blue_rows_equal_delta_composition(case):
     circuit, weights = case
     level = 2
     t = level_lengths(circuit, level, weights)
-    delta = t.blue_distances
+    delta = blue_distances(t.circuit, t.weights)
     for i in range(1, level + 2):
         for v in circuit.blue_vertices:
             expected = min(
