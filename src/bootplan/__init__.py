@@ -38,7 +38,6 @@ from .paths import (
     backtrack_interesting_path,
     blue_distances,
     enumerate_interesting_paths,
-    extract_violated_path,
     is_feasible_by_paths,
     is_interesting_path,
     level_lengths,
@@ -71,7 +70,6 @@ __all__ = [
     "eval_levels",
     "exact_bootstrap",
     "exact_dvd",
-    "extract_violated_path",
     "greedy_topological",
     "is_feasible_by_levels",
     "is_feasible_by_paths",

@@ -10,20 +10,16 @@ import argparse
 import sys
 import time
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TextIO
 
 from . import baselines, exact, formats, generate
-from .circuit import Circuit, eval_levels, is_feasible_by_levels
+from .circuit import Circuit, eval_levels, is_feasible_by_levels, require_level
 from .dvd import reduce_to_circuit
-from .errors import (
-    BootplanError,
-    CapExceeded,
-    IterationLimitExceeded,
-    TooLarge,
-)
+from .errors import BootplanError, ResourceLimit
 from .lp import solve_relaxation
-from .paths import level_lengths
 from .rounding import derandomized_round, randomized_round
 
 EXIT_OK = 0
@@ -51,26 +47,9 @@ class RunReport:
     exact_optimum: int | None = None
     extra: dict[str, str] = field(default_factory=dict)
 
-    def to_text(self) -> str:
-        lines = [
-            f"instance: {self.instance}",
-            f"vertices: {self.vertices}  edges: {self.edges}  level: {self.level}",
-            f"method: {self.method}",
-            f"cardinality: {self.cardinality}",
-            f"time_s: {self.seconds:.3f}",
-            f"verified_feasible: {'yes' if self.verified else 'no'}",
-        ]
-        if self.lp_objective is not None:
-            lines.append(f"lp_objective: {self.lp_objective:.9f}")
-        if self.exact_optimum is not None:
-            lines.append(f"exact_optimum: {self.exact_optimum}")
-        for key, value in self.extra.items():
-            lines.append(f"{key}: {value}")
-        lines.append("marks: " + " ".join(self.marks))
-        return "\n".join(lines)
-
-    def to_kv(self) -> str:
-        pairs: list[tuple[str, str]] = [
+    def pairs(self) -> list[tuple[str, str]]:
+        """The report's fields, in print order."""
+        pairs = [
             ("instance", self.instance),
             ("vertices", str(self.vertices)),
             ("edges", str(self.edges)),
@@ -86,7 +65,13 @@ class RunReport:
             pairs.append(("exact_optimum", str(self.exact_optimum)))
         pairs.extend(self.extra.items())
         pairs.append(("marks", " ".join(self.marks)))
-        return "\n".join(f"{k}\t{v}" for k, v in pairs) + "\n"
+        return pairs
+
+    def to_text(self) -> str:
+        return "\n".join(f"{k}: {v}" for k, v in self.pairs())
+
+    def to_kv(self) -> str:
+        return "\n".join(f"{k}\t{v}" for k, v in self.pairs()) + "\n"
 
 
 def _read(path: str) -> str:
@@ -96,11 +81,24 @@ def _read(path: str) -> str:
         raise BootplanError(f"cannot read {path}: {exc.strerror}") from exc
 
 
+def _open_out(path: str) -> TextIO:
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise BootplanError(f"cannot write {path}: {exc.strerror}") from exc
+
+
+def _write(path: str, text: str) -> None:
+    with _open_out(path) as f:
+        f.write(text)
+
+
 def _load_circuit(path: str) -> Circuit:
     return formats.parse_circuit(_read(path), source=path)
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    require_level(args.level)
     circuit = _load_circuit(args.circuit)
     marks = formats.parse_marks(_read(args.marks), circuit, source=args.marks)
     levels = eval_levels(circuit, marks)
@@ -134,19 +132,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
     )
     start = time.perf_counter()
     if args.method == "lp-round":
-        trace_file = open(args.trace, "w") if args.trace else None
-        try:
+        with _open_out(args.trace) if args.trace else nullcontext() as trace_file:
             lp = solve_relaxation(circuit, level, trace=trace_file)
-        finally:
-            if trace_file:
-                trace_file.close()
-        tables = level_lengths(circuit, level, lp.weights)
         if args.randomized:
-            outcome = randomized_round(circuit, level, tables, args.seed)
+            outcome = randomized_round(circuit, level, lp.tables, args.seed)
             report.extra["t_used"] = f"{outcome.t_used:.9f}"
             report.extra["seed"] = str(args.seed)
         else:
-            outcome = derandomized_round(circuit, level, tables)
+            outcome = derandomized_round(circuit, level, lp.tables)
             report.extra["t_used"] = f"{outcome.t_used:.9f}"
         marks = outcome.marks
         report.lp_objective = lp.objective
@@ -169,7 +162,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
     print(report.to_text())
     if args.out:
-        Path(args.out).write_text(report.to_kv())
+        _write(args.out, report.to_kv())
     return EXIT_OK if report.verified else EXIT_INFEASIBLE
 
 
@@ -187,9 +180,8 @@ def cmd_reduce_dvd(args: argparse.Namespace) -> int:
         map_lines.append(f"gadget\t{instance.name_of(v)}\t{joined}")
     map_text = "\n".join(map_lines) + "\n"
     if args.out:
-        Path(args.out).write_text(circuit_text)
-        map_path = args.map_out or args.out + ".map"
-        Path(map_path).write_text(map_text)
+        _write(args.out, circuit_text)
+        _write(args.map_out or args.out + ".map", map_text)
     else:
         sys.stdout.write(circuit_text)
         sys.stdout.write(map_text)
@@ -205,7 +197,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         circuit = generate.series_parallel(args.size, args.red_fraction, args.seed)
     text = formats.format_circuit(circuit)
     if args.out:
-        Path(args.out).write_text(text)
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -263,7 +255,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         code = handlers[args.command](args)
-    except (TooLarge, CapExceeded, IterationLimitExceeded) as exc:
+    except ResourceLimit as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (BootplanError, ValueError) as exc:

@@ -187,22 +187,16 @@ def reduce_to_circuit(instance: DvdInstance) -> ReductionMap:
 def pull_back(rmap: ReductionMap, marks: Set[int]) -> frozenset[int]:
     """Deletion set from a feasible mark set, never larger.
 
-    Marked Blue gadget vertices are relocated onto their owning original one
-    at a time (each single relocation preserves feasibility); everything
-    outside the original vertex set is then dropped.
+    Marked Blue gadget vertices are relocated onto their owning original
+    (each single relocation preserves feasibility, so relocating them all,
+    in any order, does too); everything outside the original vertex set is
+    then dropped.
     """
     if not is_feasible_by_levels(rmap.circuit, marks, rmap.dvd.level):
         raise InfeasibleInput("mark set is not feasible for the reduced circuit")
     owner = rmap.gadget_owner
-    current = set(marks)
-    while True:
-        gadget_marks = sorted(w for w in current if w in owner)
-        if not gadget_marks:
-            break
-        w = gadget_marks[0]
-        current.discard(w)
-        current.add(owner[w])
-    return frozenset(v for v in current if v < rmap.dvd.n)
+    relocated = (owner.get(w, w) for w in marks)
+    return frozenset(v for v in relocated if v < rmap.dvd.n)
 
 
 def push_forward(rmap: ReductionMap, deleted: Set[int]) -> frozenset[int]:

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: input/structure problems exit 2,
-resource caps exit 3.
+The CLI maps these onto exit codes: a ResourceLimit (a cap on work or size)
+exits 3, every other BootplanError (input or structure problems) exits 2.
 """
 
 from __future__ import annotations
@@ -44,15 +44,19 @@ class ParseError(BootplanError):
         super().__init__(f"{where}: {message}")
 
 
-class CapExceeded(BootplanError):
+class ResourceLimit(BootplanError):
+    """A configured cap on work or size was reached; the input may be fine."""
+
+
+class CapExceeded(ResourceLimit):
     """Path enumeration produced more paths than the configured cap."""
 
 
-class TooLarge(BootplanError):
+class TooLarge(ResourceLimit):
     """The exhaustive search space exceeds the configured subset cap."""
 
 
-class IterationLimitExceeded(BootplanError):
+class IterationLimitExceeded(ResourceLimit):
     """Row generation or the master simplex hit its iteration cap."""
 
 

@@ -5,10 +5,11 @@ path's non-final vertices >= 1, x in [0,1], minimize sum x) and there can be
 exponentially many paths, so constraints are generated lazily: solve a
 restricted master over the rows found so far, run the level-length table as
 a separation oracle, and add one most-violated row per Red final vertex that
-still has lengths[L+1] < 1 - tol.  Termination: the master satisfies every
-added row, a violated row is never already present, and there are finitely
-many rows.  The final weights certify feasibility of the relaxation because
-the same table that would expose a violation comes back clean.
+still has lengths[L+1] < 1 - VIOLATION_TOL.  Termination: the master
+satisfies every added row, a violated row is never already present, and
+there are finitely many rows.  The final weights certify feasibility of the
+relaxation because the same table that would expose a violation comes back
+clean; that table is returned with them, and rounding reads it.
 
 The master is solved through its LP dual, a packing LP, by a dense primal
 simplex with Bland's anti-cycling rule.  The all-slack basis of the packing
@@ -21,14 +22,14 @@ every row are never entered into the master; they are 0 at any optimum.
 from __future__ import annotations
 
 from collections.abc import Sequence, Set
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TextIO
 
 import numpy as np
 
 from .circuit import Circuit, require_level
 from .errors import IterationLimitExceeded, NumericalFailure
-from .paths import VIOLATION_TOL, backtrack_interesting_path, level_lengths
+from .paths import VIOLATION_TOL, LevelTables, backtrack_interesting_path, level_lengths
 
 PIVOT_TOL = 1e-12
 _REDCOST_TOL = 1e-9
@@ -41,6 +42,8 @@ class LpResult:
     constraints_generated: int
     iterations: int
     rows: tuple[frozenset[int], ...]
+    # The length table at `weights`, whose clean final row certifies them.
+    tables: LevelTables = field(repr=False, compare=False)
 
 
 def _solve_covering_lp(a: np.ndarray) -> tuple[np.ndarray, float]:
@@ -119,7 +122,6 @@ def solve_relaxation(
     circuit: Circuit,
     level: int,
     *,
-    tol: float = VIOLATION_TOL,
     max_iterations: int | None = None,
     trace: TextIO | None = None,
 ) -> LpResult:
@@ -127,8 +129,9 @@ def solve_relaxation(
 
     Each iteration solves the master, recomputes the length table at the new
     weights, and adds the most-violated row for every Red final below
-    1 - tol (deduplicated).  `trace`, when given, receives one tab-separated
-    line per iteration: index, objective, rows added.
+    1 - VIOLATION_TOL (deduplicated); the result carries the last, clean
+    table.  `trace`, when given, receives one tab-separated line per
+    iteration: index, objective, rows added.
     """
     require_level(level)
     n = circuit.n
@@ -142,7 +145,7 @@ def solve_relaxation(
         final_row = tables.lengths[level + 1]
         violated = added = 0
         for v in circuit.red_vertices:
-            if final_row[v] < 1.0 - tol:
+            if final_row[v] < 1.0 - VIOLATION_TOL:
                 violated += 1
                 row = frozenset(backtrack_interesting_path(tables, v)[:-1])
                 if row not in seen:
@@ -162,6 +165,7 @@ def solve_relaxation(
                 constraints_generated=len(rows),
                 iterations=iteration,
                 rows=tuple(rows),
+                tables=tables,
             )
     raise IterationLimitExceeded(
         f"row generation exceeded {max_iterations} iterations"

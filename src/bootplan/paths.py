@@ -9,12 +9,13 @@ view of feasibility that the LP relaxation optimizes over.
 Given fractional vertex weights x, the *length* of a path is the sum of
 x over its non-final vertices.  lengths[i][v] is the least length of a path
 that starts Red, ends at v, and visits exactly i Red vertices (counting Red
-endpoints); +inf when no such path exists.  The table is filled level by
-level: Red entries extend a level-(i-1) entry across one edge, Blue entries
-chain from a level-i Red entry through Blue interior vertices, which is the
-same minimum as composing with the blue-interior distance table because that
-distance already collapses Blue chains.  Within one level Blue vertices are
-resolved in topological order so chained Blue values are final before use.
+endpoints); +inf when no such path exists.  Each level is filled in one
+sweep over the topological order: a Red entry is 0 at level 1 and otherwise
+extends a level-(i-1) entry across one edge, a Blue entry extends a level-i
+entry of a predecessor, and White entries stay +inf.  Blue predecessors come
+earlier in the order, so chained Blue values are final before use, and the
+result is the same minimum as composing the level's Red entries with the
+blue-interior distance table.
 """
 
 from __future__ import annotations
@@ -147,12 +148,10 @@ class LevelTables:
     parents: list[list[int]]
 
     @cached_property
-    def length_matrix(self) -> np.ndarray:
-        return np.asarray(self.lengths, dtype=float)
-
-    @cached_property
-    def weight_row(self) -> np.ndarray:
-        return np.asarray(self.weights, dtype=float)
+    def intervals(self) -> tuple[np.ndarray, np.ndarray]:
+        """Rounding intervals [lo, hi] per level 1..budget (rows) and vertex."""
+        lo = np.asarray(self.lengths[1 : self.budget + 1], dtype=float)
+        return lo, lo + np.asarray(self.weights, dtype=float)
 
 
 def level_lengths(circuit: Circuit, level: int, weights: Sequence[float]) -> LevelTables:
@@ -177,32 +176,22 @@ def level_lengths(circuit: Circuit, level: int, weights: Sequence[float]) -> Lev
     for i in range(1, level + 2):
         row = lengths[i]
         par = parents[i]
-        if i == 1:
-            for v in circuit.red_vertices:
-                row[v] = 0.0
-        else:
-            prev = lengths[i - 1]
-            for v in circuit.red_vertices:
-                best = inf
-                best_u = -1
-                for u in preds[v]:
-                    cand = prev[u] + x[u]
-                    if cand < best:
-                        best = cand
-                        best_u = u
-                row[v] = best
-                par[v] = best_u
-        # Blue entries chain off this level's Red entries; topological order
-        # makes Blue-to-Blue propagation exact in one sweep.
+        prev = lengths[i - 1]
         for v in topo:
-            if colors[v] is not Color.BLUE:
+            color = colors[v]
+            if color is Color.WHITE:
                 continue
+            if color is Color.RED:
+                if i == 1:
+                    row[v] = 0.0
+                    continue
+                src = prev
+            else:
+                src = row
             best = inf
             best_u = -1
             for u in preds[v]:
-                if colors[u] is Color.WHITE:
-                    continue
-                cand = row[u] + x[u]
+                cand = src[u] + x[u]
                 if cand < best:
                     best = cand
                     best_u = u
@@ -234,25 +223,3 @@ def backtrack_interesting_path(tables: LevelTables, final: int) -> tuple[int, ..
     rev.reverse()
     return tuple(rev)
 
-
-def extract_violated_path(
-    tables: LevelTables, circuit: Circuit, level: int, tol: float = VIOLATION_TOL
-) -> tuple[int, ...] | None:
-    """Most-violated interesting path at the table's weights, if any.
-
-    A Red final v with lengths[level+1][v] < 1 - tol witnesses a violated
-    covering constraint; ties break toward the lowest final id.
-    """
-    require_level(level)
-    if level != tables.budget:
-        raise ValueError("tables were computed for a different budget")
-    row = tables.lengths[level + 1]
-    best_v = -1
-    best = 1.0 - tol
-    for v in circuit.red_vertices:
-        if row[v] < best:
-            best = row[v]
-            best_v = v
-    if best_v < 0:
-        return None
-    return backtrack_interesting_path(tables, best_v)

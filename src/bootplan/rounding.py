@@ -44,16 +44,15 @@ def _require_matching_budget(tables: LevelTables, level: int) -> None:
         raise ValueError("tables were computed for a different budget")
 
 
-def _mark_mask(tables: LevelTables, level: int, t: float) -> np.ndarray:
-    lo = tables.length_matrix[1 : level + 1]
-    hi = lo + tables.weight_row
+def _mark_mask(tables: LevelTables, t: float) -> np.ndarray:
+    lo, hi = tables.intervals
     return ((lo - MEMBERSHIP_TOL <= t) & (t <= hi + MEMBERSHIP_TOL)).any(axis=0)
 
 
 def round_at(tables: LevelTables, level: int, t: float) -> frozenset[int]:
     """Marks whose interval (any level 1..L) contains t, within 1e-9 slack."""
     _require_matching_budget(tables, level)
-    return frozenset(int(v) for v in np.flatnonzero(_mark_mask(tables, level, t)))
+    return frozenset(int(v) for v in np.flatnonzero(_mark_mask(tables, t)))
 
 
 def breakpoints(tables: LevelTables, level: int) -> list[float]:
@@ -63,8 +62,7 @@ def breakpoints(tables: LevelTables, level: int) -> list[float]:
     2*n*L + 2 entries.
     """
     _require_matching_budget(tables, level)
-    lo = tables.length_matrix[1 : level + 1]
-    hi = lo + tables.weight_row
+    lo, hi = tables.intervals
     vals = np.concatenate([lo.ravel(), hi.ravel()])
     vals = vals[np.isfinite(vals)]
     vals = np.clip(vals, 0.0, 1.0)
@@ -85,7 +83,7 @@ def derandomized_round(circuit: Circuit, level: int, tables: LevelTables) -> Rou
     distinct: list[tuple[int, float, np.ndarray]] = []
     seen: set[bytes] = set()
     for t in candidates:
-        mask = _mark_mask(tables, level, t)
+        mask = _mark_mask(tables, t)
         key = mask.tobytes()
         if key in seen:
             continue

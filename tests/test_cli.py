@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import random
 
-from bootplan import formats, generate, lp
+import pytest
+
+from bootplan import baselines, formats, generate, lp
 from bootplan.cli import main
-from bootplan.errors import IterationLimitExceeded
+from bootplan.errors import CapExceeded, IterationLimitExceeded
 
 CHAIN = """\
 # four multiplications in a row
@@ -55,6 +57,16 @@ def test_check_infeasible_names_the_violator(tmp_path, capsys):
     assert "infeasible: vertex r4 reaches level 4 > 3" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("level", ["0", "-3"])
+def test_check_rejects_bad_level(tmp_path, capsys, level):
+    circuit = write(tmp_path, "c.txt", CHAIN)
+    marks = write(tmp_path, "m.txt", "r1\n")
+    assert main(["check", circuit, marks, "--level", level]) == 2
+    captured = capsys.readouterr()
+    assert "feasible" not in captured.out
+    assert "error: noise budget must be an integer >= 1" in captured.err
+
+
 def test_solve_exact(tmp_path, capsys):
     circuit = write(tmp_path, "c.txt", CHAIN)
     assert main(["solve", circuit, "--level", "3", "--method", "exact"]) == 0
@@ -83,6 +95,19 @@ def test_solve_lp_round_with_report_file(tmp_path, capsys):
     assert report["verified_feasible"] == "yes"
     assert float(report["lp_objective"]) == 1.0
     assert report["marks"] == "r3"
+
+
+def test_printed_report_matches_report_file(tmp_path, capsys):
+    circuit = write(tmp_path, "c.txt", CHAIN)
+    out_file = tmp_path / "report.tsv"
+    assert main(["solve", circuit, "--level", "3", "--out", str(out_file)]) == 0
+    printed = [line.split(": ", 1) for line in capsys.readouterr().out.splitlines()]
+    written = [line.split("\t", 1) for line in out_file.read_text().splitlines()]
+    assert printed == written
+    assert [key for key, _ in written][:8] == [
+        "instance", "vertices", "edges", "level",
+        "method", "cardinality", "time_s", "verified_feasible",
+    ]
 
 
 def test_solve_randomized_uses_the_seed(tmp_path, capsys):
@@ -135,6 +160,32 @@ def test_simplex_iteration_cap_exits_3(tmp_path, capsys, monkeypatch):
     circuit = write(tmp_path, "c.txt", CHAIN)
     assert main(["solve", circuit, "--level", "3"]) == 3
     assert "error: simplex iteration limit hit" in capsys.readouterr().err
+
+
+def test_path_cap_exits_3(tmp_path, capsys, monkeypatch):
+    def capped(circuit, level):
+        raise CapExceeded("cap reached")
+
+    monkeypatch.setattr(baselines, "greedy_topological", capped)
+    circuit = write(tmp_path, "c.txt", CHAIN)
+    assert main(["solve", circuit, "--level", "2", "--method", "greedy"]) == 3
+    assert "error: cap reached" in capsys.readouterr().err
+
+
+def test_unwritable_outputs_exit_2(tmp_path, capsys):
+    circuit = write(tmp_path, "c.txt", CHAIN)
+    dvd = write(tmp_path, "h.txt", FAN_IN_DVD)
+    missing = str(tmp_path / "no-such-dir" / "out.txt")
+    runs = [
+        ["solve", circuit, "--level", "1", "--out", missing],
+        ["solve", circuit, "--level", "1", "--trace", missing],
+        ["gen", "--kind", "red-chain", "--out", missing],
+        ["reduce-dvd", dvd, "--level", "2", "--out", str(tmp_path / "r.txt"),
+         "--map-out", missing],
+    ]
+    for argv in runs:
+        assert main(argv) == 2
+        assert f"error: cannot write {missing}" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_2(tmp_path, capsys):

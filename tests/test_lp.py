@@ -191,6 +191,20 @@ def test_relaxation_certificate_and_row_satisfaction():
         assert all(-1e-9 <= w <= 1 + 1e-9 for w in result.weights)
 
 
+def test_relaxation_returns_the_table_it_certified():
+    rng = random.Random(41)
+    for trial in range(30):
+        size = rng.randint(4, 14)
+        c = (random_circuit(size, rng), layered(3, size // 3, 0.5, rng))[trial % 2]
+        level = rng.choice((1, 2, 3))
+        result = solve_relaxation(c, level)
+        rebuilt = level_lengths(c, level, result.weights)
+        assert result.tables.budget == level
+        assert result.tables.weights == rebuilt.weights
+        assert result.tables.lengths == rebuilt.lengths
+        assert result.tables.parents == rebuilt.parents
+
+
 def test_relaxation_lower_bounds_every_feasible_set():
     """LP value <= any integral feasible cardinality (spot check vs full LP)."""
     rng = random.Random(31)

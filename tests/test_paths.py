@@ -14,7 +14,6 @@ from bootplan.paths import (
     backtrack_interesting_path,
     blue_distances,
     enumerate_interesting_paths,
-    extract_violated_path,
     is_feasible_by_paths,
     is_interesting_path,
     level_lengths,
@@ -181,6 +180,15 @@ def test_chain_table_frozen_values():
     assert t.lengths[4] == pytest.approx([inf, inf, inf, inf, 0.6])
 
 
+def test_intervals_are_levels_one_to_budget_plus_weights():
+    c = red_chain(4)
+    x = [0.0, 0.3, 0.2, 0.1, 0.0]
+    t = level_lengths(c, 3, x)
+    lo, hi = t.intervals
+    assert lo.tolist() == t.lengths[1:4]
+    assert hi.tolist() == [[a + w for a, w in zip(row, x)] for row in t.lengths[1:4]]
+
+
 def test_table_red_base_and_white_rows():
     c = build("wrbr", (0, 1, 2), (1, 2, 2), (2, 3), (1, 3))
     t = level_lengths(c, 2, [0.0, 0.25, 0.5, 0.0])
@@ -259,20 +267,6 @@ def test_backtrack_reconstructs_minimum_path():
     x = [0.0, 0.3, 0.2, 0.1, 0.0]
     t = level_lengths(c, 3, x)
     assert backtrack_interesting_path(t, 4) == (1, 2, 3, 4)
-
-
-def test_extract_none_when_satisfied():
-    c = red_chain(4)
-    t = level_lengths(c, 3, [0.0, 1.0, 0.0, 0.0, 0.0])
-    assert extract_violated_path(t, c, 3) is None
-
-
-def test_extract_most_violated():
-    c = red_chain(4)
-    t = level_lengths(c, 3, [0.0, 0.5, 0.0, 0.0, 0.0])
-    path = extract_violated_path(t, c, 3)
-    assert path == (1, 2, 3, 4)
-    assert is_interesting_path(c, path, 3)
 
 
 @PROPERTY
