@@ -5,16 +5,15 @@ and a noise budget L, pick a small set of vertices to bootstrap so that no
 noise level ever exceeds L.  The main pipeline is an LP relaxation over
 interesting-path covering constraints, solved by row generation, followed
 by level-indexed threshold rounding whose derandomized form is an
-L-approximation (optimal for L = 1).  Exhaustive oracles and simple
-baselines are included, as is the approximation-preserving reduction from
-DAG vertex deletion.
+L-approximation (optimal for L = 1); `plan` runs it, or another method,
+end to end.  Exhaustive oracles and simple baselines are included, as is
+the approximation-preserving reduction from DAG vertex deletion.
 """
 
 from .baselines import after_every_red, greedy_topological
 from .circuit import (
     Circuit,
     Color,
-    MarkSet,
     eval_levels,
     is_feasible_by_levels,
     max_level,
@@ -36,12 +35,9 @@ from .lp import LpResult, solve_relaxation, solve_restricted_master
 from .paths import (
     LevelTables,
     backtrack_interesting_path,
-    blue_distances,
-    enumerate_interesting_paths,
-    is_feasible_by_paths,
-    is_interesting_path,
     level_lengths,
 )
+from .pipeline import Plan, plan
 from .rounding import (
     RoundingOutcome,
     breakpoints,
@@ -57,27 +53,24 @@ __all__ = [
     "ExactResult",
     "LevelTables",
     "LpResult",
-    "MarkSet",
+    "Plan",
     "ReductionMap",
     "RoundingOutcome",
     "after_every_red",
     "backtrack_interesting_path",
-    "blue_distances",
     "breakpoints",
     "derandomized_round",
     "dvd_is_feasible",
-    "enumerate_interesting_paths",
     "eval_levels",
     "exact_bootstrap",
     "exact_dvd",
     "greedy_topological",
     "is_feasible_by_levels",
-    "is_feasible_by_paths",
-    "is_interesting_path",
     "layered",
     "level_lengths",
     "longest_path_vertices",
     "max_level",
+    "plan",
     "pull_back",
     "push_forward",
     "random_circuit",

@@ -27,8 +27,6 @@ from functools import cached_property
 
 from .errors import CycleDetected, IndegreeViolation, UnknownVertex
 
-MarkSet = frozenset[int]
-
 
 class Color(Enum):
     WHITE = "white"
@@ -64,14 +62,6 @@ class Circuit:
     @cached_property
     def red_vertices(self) -> tuple[int, ...]:
         return tuple(v for v in range(self.n) if self.colors[v] is Color.RED)
-
-    @cached_property
-    def blue_vertices(self) -> tuple[int, ...]:
-        return tuple(v for v in range(self.n) if self.colors[v] is Color.BLUE)
-
-    @cached_property
-    def white_vertices(self) -> tuple[int, ...]:
-        return tuple(v for v in range(self.n) if self.colors[v] is Color.WHITE)
 
     def name_of(self, v: int) -> str:
         if self.names is not None:

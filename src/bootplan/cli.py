@@ -10,24 +10,21 @@ import argparse
 import sys
 import time
 from collections import Counter
-from contextlib import nullcontext
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TextIO
 
-from . import baselines, exact, formats, generate
-from .circuit import Circuit, eval_levels, is_feasible_by_levels, require_level
+from . import exact, formats, generate
+from .circuit import Circuit, eval_levels, require_level
 from .dvd import reduce_to_circuit
 from .errors import BootplanError, ResourceLimit
-from .lp import solve_relaxation
-from .rounding import derandomized_round, randomized_round
+from .pipeline import METHODS, plan
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
-
-METHODS = ("lp-round", "exact", "after-red", "greedy")
 
 
 @dataclass
@@ -118,51 +115,44 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     circuit = _load_circuit(args.circuit)
-    level = args.level
-    report = RunReport(
-        instance=Path(args.circuit).name,
-        vertices=circuit.n,
-        edges=circuit.edge_count,
-        level=level,
-        method=args.method,
-        cardinality=0,
-        seconds=0.0,
-        verified=False,
-        marks=[],
-    )
-    start = time.perf_counter()
-    if args.method == "lp-round":
-        with _open_out(args.trace) if args.trace else nullcontext() as trace_file:
-            lp = solve_relaxation(circuit, level, trace=trace_file)
-        if args.randomized:
-            outcome = randomized_round(circuit, level, lp.tables, args.seed)
-            report.extra["t_used"] = f"{outcome.t_used:.9f}"
-            report.extra["seed"] = str(args.seed)
-        else:
-            outcome = derandomized_round(circuit, level, lp.tables)
-            report.extra["t_used"] = f"{outcome.t_used:.9f}"
-        marks = outcome.marks
-        report.lp_objective = lp.objective
-        report.extra["lp_constraints"] = str(lp.constraints_generated)
-        report.extra["lp_iterations"] = str(lp.iterations)
-    elif args.method == "exact":
-        result = exact.exact_bootstrap(circuit, level, max_subsets=args.max_exact_subsets)
-        assert result is not None  # no budget passed, search is complete
-        marks = result.witness
-        report.exact_optimum = result.optimum
-        report.extra["subsets_explored"] = str(result.explored)
-    elif args.method == "after-red":
-        marks = baselines.after_every_red(circuit)
-    else:
-        marks = baselines.greedy_topological(circuit, level)
-    report.seconds = time.perf_counter() - start
-    report.cardinality = len(marks)
-    report.marks = sorted(circuit.name_of(v) for v in marks)
-    report.verified = is_feasible_by_levels(circuit, marks, level)
+    require_level(args.level)
+    with ExitStack() as files:
+        out = files.enter_context(_open_out(args.out)) if args.out else None
+        trace = files.enter_context(_open_out(args.trace)) if args.trace else None
+        start = time.perf_counter()
+        result = plan(
+            circuit,
+            args.level,
+            args.method,
+            seed=args.seed if args.randomized else None,
+            trace=trace,
+            max_subsets=args.max_exact_subsets,
+        )
+        report = RunReport(
+            instance=Path(args.circuit).name,
+            vertices=circuit.n,
+            edges=circuit.edge_count,
+            level=args.level,
+            method=args.method,
+            cardinality=len(result.marks),
+            seconds=time.perf_counter() - start,
+            verified=result.verified,
+            marks=sorted(circuit.name_of(v) for v in result.marks),
+        )
+        if result.lp is not None:
+            report.lp_objective = result.lp.objective
+            report.extra["t_used"] = f"{result.rounding.t_used:.9f}"
+            if args.randomized:
+                report.extra["seed"] = str(args.seed)
+            report.extra["lp_constraints"] = str(result.lp.constraints_generated)
+            report.extra["lp_iterations"] = str(result.lp.iterations)
+        if result.exact is not None:
+            report.exact_optimum = result.exact.optimum
+            report.extra["subsets_explored"] = str(result.exact.explored)
 
-    print(report.to_text())
-    if args.out:
-        _write(args.out, report.to_kv())
+        print(report.to_text())
+        if out is not None:
+            out.write(report.to_kv())
     return EXIT_OK if report.verified else EXIT_INFEASIBLE
 
 

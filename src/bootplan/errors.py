@@ -48,10 +48,6 @@ class ResourceLimit(BootplanError):
     """A configured cap on work or size was reached; the input may be fine."""
 
 
-class CapExceeded(ResourceLimit):
-    """Path enumeration produced more paths than the configured cap."""
-
-
 class TooLarge(ResourceLimit):
     """The exhaustive search space exceeds the configured subset cap."""
 

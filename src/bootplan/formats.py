@@ -14,8 +14,6 @@ formatting then parsing reproduces the same object.
 
 from __future__ import annotations
 
-from collections.abc import Set
-
 from .circuit import Circuit, Color, validate
 from .dvd import DvdInstance, validate_dvd
 from .errors import ParseError
@@ -129,8 +127,3 @@ def parse_marks(text: str, circuit: Circuit, source: str = "<marks>") -> frozens
                 raise ParseError(f"unknown vertex name {name!r}", source, lineno)
             marks.add(ids[name])
     return frozenset(marks)
-
-
-def format_marks(circuit: Circuit, marks: Set[int]) -> str:
-    names = sorted(circuit.name_of(v) for v in marks)
-    return "\n".join(names) + "\n" if names else ""

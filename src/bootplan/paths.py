@@ -1,4 +1,4 @@
-"""Interesting paths, blue-interior distances, and the per-level length table.
+"""The per-level length table over interesting paths, and path backtracking.
 
 An *interesting path* for budget L starts at a Red vertex, ends at a Red
 vertex, and passes through exactly L+1 Red vertices (endpoints included).
@@ -13,123 +13,21 @@ endpoints); +inf when no such path exists.  Each level is filled in one
 sweep over the topological order: a Red entry is 0 at level 1 and otherwise
 extends a level-(i-1) entry across one edge, a Blue entry extends a level-i
 entry of a predecessor, and White entries stay +inf.  Blue predecessors come
-earlier in the order, so chained Blue values are final before use, and the
-result is the same minimum as composing the level's Red entries with the
-blue-interior distance table.
+earlier in the order, so chained Blue values are final before use.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence, Set
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .circuit import Circuit, Color, require_level
-from .errors import CapExceeded
 
-DEFAULT_PATH_CAP = 1_000_000
 VIOLATION_TOL = 1e-7
-
-
-def _iter_interesting_paths(circuit: Circuit, level: int, cap: int):
-    """Yield interesting paths as vertex-id tuples, lexicographically.
-
-    Parallel edges do not duplicate paths: a path is its vertex sequence.
-    Raises CapExceeded once more than `cap` paths have been produced.
-    """
-    require_level(level)
-    target = level + 1
-    colors = circuit.colors
-    succs = circuit.succs
-    produced = 0
-    # Iterative DFS; successors ascend, so emission order is lexicographic.
-    for start in circuit.red_vertices:
-        path = [start]
-        reds = [1]
-        iters = [iter(succs[start])]
-        while iters:
-            try:
-                w = next(iters[-1])
-            except StopIteration:
-                iters.pop()
-                path.pop()
-                reds.pop()
-                continue
-            count = reds[-1] + (1 if colors[w] is Color.RED else 0)
-            if colors[w] is Color.RED and count == target:
-                produced += 1
-                if produced > cap:
-                    raise CapExceeded(f"more than {cap} interesting paths")
-                yield tuple(path) + (w,)
-                continue
-            if count <= level:
-                path.append(w)
-                reds.append(count)
-                iters.append(iter(succs[w]))
-
-
-def enumerate_interesting_paths(
-    circuit: Circuit, level: int, cap: int = DEFAULT_PATH_CAP
-) -> list[tuple[int, ...]]:
-    return list(_iter_interesting_paths(circuit, level, cap))
-
-
-def is_interesting_path(circuit: Circuit, path: Sequence[int], level: int) -> bool:
-    """Predicate form of the definition; used by tests and assertions."""
-    require_level(level)
-    if not path:
-        return False
-    if circuit.colors[path[0]] is not Color.RED or circuit.colors[path[-1]] is not Color.RED:
-        return False
-    for u, w in zip(path, path[1:]):
-        if w not in circuit.succs[u]:
-            return False
-    reds = sum(1 for v in path if circuit.colors[v] is Color.RED)
-    return reds == level + 1
-
-
-def is_feasible_by_paths(
-    circuit: Circuit, marks: Set[int], level: int, cap: int = DEFAULT_PATH_CAP
-) -> bool:
-    """Covering view of feasibility: every interesting path must carry a
-    marked non-final vertex.  Equivalent to the level recursion check."""
-    s = frozenset(marks)
-    for path in _iter_interesting_paths(circuit, level, cap):
-        if not any(v in s for v in path[:-1]):
-            return False
-    return True
-
-
-def blue_distances(circuit: Circuit, weights: Sequence[float]) -> dict[int, dict[int, float]]:
-    """Least weight of a Red-to-Blue path whose interior is all Blue.
-
-    Returned as {red u: {blue v: distance}}; the distance counts x over every
-    vertex of the path except the final one (so a direct edge costs x_u).
-    Pairs with no such path are absent (conceptually +inf).
-    """
-    colors = circuit.colors
-    succs = circuit.succs
-    out: dict[int, dict[int, float]] = {}
-    for u in circuit.red_vertices:
-        dist: dict[int, float] = {}
-        xu = float(weights[u])
-        for w in succs[u]:
-            if colors[w] is Color.BLUE:
-                dist[w] = xu
-        if dist:
-            for v in circuit.topo:
-                dv = dist.get(v)
-                if dv is None:
-                    continue
-                step = dv + float(weights[v])
-                for w in succs[v]:
-                    if colors[w] is Color.BLUE and step < dist.get(w, math.inf):
-                        dist[w] = step
-        out[u] = dist
-    return out
 
 
 @dataclass(frozen=True, eq=False)

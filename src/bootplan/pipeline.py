@@ -1,0 +1,66 @@
+"""One call from a circuit and a noise budget to a checked mark set.
+
+plan() is what `bootplan solve` runs between loading and reporting.  Its
+default method is the paper's pipeline: the covering LP by row generation,
+then threshold rounding of the level table that certified it.  Each solver
+step is looked up through its module at call time, so wrappers installed on
+those modules (profilers, tracers) see every call.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import TextIO
+
+from . import baselines, exact, lp, rounding
+from .circuit import Circuit, is_feasible_by_levels
+
+METHODS = ("lp-round", "exact", "after-red", "greedy")
+
+
+@dataclass(frozen=True)
+class Plan:
+    """The marks, their exact re-check, and the result of each step that ran."""
+
+    marks: frozenset[int]
+    verified: bool
+    lp: lp.LpResult | None = None
+    rounding: rounding.RoundingOutcome | None = None
+    exact: exact.ExactResult | None = None
+
+
+def plan(
+    circuit: Circuit,
+    level: int,
+    method: str = "lp-round",
+    *,
+    seed: int | None = None,
+    trace: TextIO | None = None,
+    max_subsets: int = exact.DEFAULT_SUBSET_CAP,
+) -> Plan:
+    """Mark set for `circuit` at noise budget `level` by one of METHODS.
+
+    seed=None rounds by the derandomized scan; an int rounds once, at a
+    uniform threshold drawn with that seed.  trace receives the relaxation's
+    per-round lines.  Raises ValueError for an unknown method.
+    """
+    relaxation = outcome = optimum = None
+    if method == "lp-round":
+        relaxation = lp.solve_relaxation(circuit, level, trace=trace)
+        if seed is None:
+            outcome = rounding.derandomized_round(circuit, level, relaxation.tables)
+        else:
+            outcome = rounding.randomized_round(circuit, level, relaxation.tables, seed)
+        marks = outcome.marks
+    elif method == "exact":
+        optimum = exact.exact_bootstrap(circuit, level, max_subsets=max_subsets)
+        assert optimum is not None  # no budget passed, search is complete
+        marks = optimum.witness
+    elif method == "after-red":
+        marks = baselines.after_every_red(circuit)
+    elif method == "greedy":
+        marks = baselines.greedy_topological(circuit, level)
+    else:
+        raise ValueError(f"unknown method {method!r}, expected one of {', '.join(METHODS)}")
+    verified = is_feasible_by_levels(circuit, marks, level)
+    return Plan(marks, verified, relaxation, outcome, optimum)

@@ -49,6 +49,11 @@ def interesting_paths_brute(circuit: Circuit, level: int) -> list[tuple[int, ...
     return sorted(found)
 
 
+def feasible_by_paths_brute(circuit: Circuit, marks: frozenset[int], level: int) -> bool:
+    """Covering view: every interesting path has a marked non-final vertex."""
+    return all(not marks.isdisjoint(p[:-1]) for p in interesting_paths_brute(circuit, level))
+
+
 def levels_brute(circuit: Circuit, marks: frozenset[int]) -> list[int]:
     """Levels straight from the defining recursion, memoized over predecessors."""
     pred: dict[int, list[int]] = {v: [] for v in range(circuit.n)}

@@ -19,7 +19,7 @@ from bootplan.dvd import dvd_is_feasible, pull_back, reduce_to_circuit
 from bootplan.exact import exact_bootstrap, exact_dvd
 from bootplan.generate import layered, random_circuit, random_dvd, red_chain
 from bootplan.lp import solve_relaxation
-from bootplan.paths import is_feasible_by_paths, level_lengths
+from bootplan.paths import level_lengths
 from bootplan.rounding import breakpoints, derandomized_round, round_at
 from strategies import build
 
@@ -55,7 +55,7 @@ def test_acceptance_01_feasibility_checkers_agree(capsys):
         p = rng.random()
         marks = frozenset(v for v in range(c.n) if rng.random() < p)
         by_levels = is_feasible_by_levels(c, marks, level)
-        by_paths = is_feasible_by_paths(c, marks, level)
+        by_paths = oracles.feasible_by_paths_brute(c, marks, level)
         if by_levels != by_paths:
             disagreements += 1
         if not by_levels:
@@ -239,7 +239,7 @@ def test_acceptance_07_regression_fixtures(capsys):
     a = build("wrbrr", (0, 1, 2), (1, 2, 2), (2, 3, 1), (1, 3, 1), (3, 4, 1), (2, 4, 1))
     a_exact = exact_bootstrap(a, 1)
     a_lp = solve_relaxation(a, 1)
-    a_round = derandomized_round(a, 1, level_lengths(a, 1, a_lp.weights))
+    a_round = derandomized_round(a, 1, a_lp.tables)
     fixture_a = (
         a_exact.optimum == 2
         and a_exact.witness == frozenset({1, 3})
@@ -255,7 +255,7 @@ def test_acceptance_07_regression_fixtures(capsys):
     b = red_chain(7)
     b_exact = exact_bootstrap(b, 3)
     b_lp = solve_relaxation(b, 3)
-    b_round = derandomized_round(b, 3, level_lengths(b, 3, b_lp.weights))
+    b_round = derandomized_round(b, 3, b_lp.tables)
     fixture_b = (
         b_exact.optimum == 2
         and len(after_every_red(b)) == 7

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
 
-from bootplan import baselines, formats, generate, lp
+from bootplan import formats, generate, lp
 from bootplan.cli import main
-from bootplan.errors import CapExceeded, IterationLimitExceeded
+from bootplan.errors import IterationLimitExceeded
 
 CHAIN = """\
 # four multiplications in a row
@@ -162,14 +163,34 @@ def test_simplex_iteration_cap_exits_3(tmp_path, capsys, monkeypatch):
     assert "error: simplex iteration limit hit" in capsys.readouterr().err
 
 
-def test_path_cap_exits_3(tmp_path, capsys, monkeypatch):
-    def capped(circuit, level):
-        raise CapExceeded("cap reached")
-
-    monkeypatch.setattr(baselines, "greedy_topological", capped)
-    circuit = write(tmp_path, "c.txt", CHAIN)
-    assert main(["solve", circuit, "--level", "2", "--method", "greedy"]) == 3
-    assert "error: cap reached" in capsys.readouterr().err
+def test_solve_reports_are_frozen(tmp_path, capsys):
+    # Every method's report, and a seeded randomized one, must stay
+    # byte-identical apart from the run time.
+    inputs = {"chain.txt": generate.red_chain(7)}
+    for s in range(3):
+        inputs[f"layered{s}.txt"] = generate.layered(5, 3, 0.8, s)
+        inputs[f"random{s}.txt"] = generate.random_circuit(
+            14, s, white_fraction=0.1, red_fraction=0.8
+        )
+    variants = [
+        ["--method", "lp-round"],
+        ["--method", "exact"],
+        ["--method", "after-red"],
+        ["--method", "greedy"],
+        ["--randomized", "--seed", "5"],
+    ]
+    digest = hashlib.sha256()
+    for name, circuit in inputs.items():
+        path = write(tmp_path, name, formats.format_circuit(circuit))
+        for level in ("1", "2", "3"):
+            for variant in variants:
+                code = main(["solve", path, "--level", level, *variant])
+                lines = capsys.readouterr().out.splitlines(keepends=True)
+                digest.update(f"{code}\n".encode())
+                digest.update("".join(l for l in lines if not l.startswith("time_s:")).encode())
+    assert digest.hexdigest() == (
+        "c1664b3579b38c6a09c1b9aad6810dd2aaab54503d047240c6ccc546dbb5ef3d"
+    )
 
 
 def test_unwritable_outputs_exit_2(tmp_path, capsys):
@@ -185,7 +206,10 @@ def test_unwritable_outputs_exit_2(tmp_path, capsys):
     ]
     for argv in runs:
         assert main(argv) == 2
-        assert f"error: cannot write {missing}" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert f"error: cannot write {missing}" in captured.err
+        if argv[0] == "solve":
+            assert captured.out == ""  # failed before solving
 
 
 def test_usage_errors_exit_2(tmp_path, capsys):

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import oracles
 from bootplan.circuit import Color, is_feasible_by_levels
 from bootplan.dvd import (
     dvd_is_feasible,
@@ -17,7 +18,6 @@ from bootplan.dvd import (
 from bootplan.errors import CycleDetected, InfeasibleInput, UnknownVertex
 from bootplan.exact import exact_bootstrap, exact_dvd
 from bootplan.generate import layered, random_circuit, random_dvd
-from bootplan.paths import enumerate_interesting_paths
 from strategies import build
 
 
@@ -144,7 +144,7 @@ def test_interesting_paths_visit_originals():
         n = rng.randint(1, 6)
         inst = random_dvd(n, level=rng.choice((2, 3)), seed=rng.randint(0, 10**6))
         rmap = reduce_to_circuit(inst)
-        paths = enumerate_interesting_paths(rmap.circuit, inst.level)
+        paths = oracles.interesting_paths_brute(rmap.circuit, inst.level)
         for path in paths:
             for v in path[:-1]:
                 if rmap.circuit.colors[v] is Color.RED:

@@ -10,7 +10,6 @@ from bootplan.errors import CycleDetected, IndegreeViolation, ParseError
 from bootplan.formats import (
     format_circuit,
     format_dvd,
-    format_marks,
     parse_circuit,
     parse_dvd,
     parse_marks,
@@ -127,8 +126,7 @@ def test_marks_roundtrip_and_errors():
     c = parse_circuit(SAMPLE)
     marks = parse_marks("g1 g2\n", c)
     assert marks == frozenset({1, 2})
-    assert format_marks(c, marks) == "g1\ng2\n"
-    assert parse_marks(format_marks(c, marks), c) == marks
+    assert parse_marks("g1\ng2\n", c) == marks
     assert parse_marks("# none\n", c) == frozenset()
     with pytest.raises(ParseError) as info:
         parse_marks("g1\nnosuch\n", c, source="m.txt")

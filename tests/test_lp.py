@@ -16,7 +16,7 @@ from bootplan.circuit import is_feasible_by_levels
 from bootplan.errors import IterationLimitExceeded, NumericalFailure
 from bootplan.generate import layered, random_circuit, red_chain
 from bootplan.lp import solve_relaxation, solve_restricted_master
-from bootplan.paths import enumerate_interesting_paths, level_lengths
+from bootplan.paths import level_lengths
 from strategies import build, circuits
 
 PROPERTY = settings(max_examples=100, deadline=None)
@@ -212,7 +212,7 @@ def test_relaxation_lower_bounds_every_feasible_set():
         c = random_circuit(rng.randint(4, 10), rng)
         level = rng.choice((1, 2))
         result = solve_relaxation(c, level)
-        paths = enumerate_interesting_paths(c, level)
+        paths = oracles.interesting_paths_brute(c, level)
         if not paths:
             assert result.objective == 0.0
             continue

@@ -1,24 +1,15 @@
-"""Interesting paths, blue distances, the level-length table, extraction."""
+"""Interesting paths, the level-length table, extraction."""
 
 from __future__ import annotations
 
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import oracles
-from bootplan.circuit import Color, validate
-from bootplan.errors import CapExceeded
-from bootplan.paths import (
-    backtrack_interesting_path,
-    blue_distances,
-    enumerate_interesting_paths,
-    is_feasible_by_paths,
-    is_interesting_path,
-    level_lengths,
-)
-from strategies import build, circuits, marked_circuits, weighted_circuits
+from bootplan.paths import backtrack_interesting_path, level_lengths
+from strategies import build, marked_circuits, weighted_circuits
 
 PROPERTY = settings(max_examples=150, deadline=None)
 
@@ -33,61 +24,29 @@ def red_chain(k):
 
 def test_chain_has_single_interesting_path():
     c = red_chain(4)
-    assert enumerate_interesting_paths(c, 3) == [(1, 2, 3, 4)]
+    assert oracles.interesting_paths_brute(c, 3) == [(1, 2, 3, 4)]
 
 
 def test_chain_windows_for_smaller_budget():
     c = red_chain(4)
-    assert enumerate_interesting_paths(c, 1) == [(1, 2), (2, 3), (3, 4)]
-    assert enumerate_interesting_paths(c, 2) == [(1, 2, 3), (2, 3, 4)]
+    assert oracles.interesting_paths_brute(c, 1) == [(1, 2), (2, 3), (3, 4)]
+    assert oracles.interesting_paths_brute(c, 2) == [(1, 2, 3), (2, 3, 4)]
 
 
 def test_no_interesting_paths_when_budget_exceeds_depth():
     c = red_chain(3)
-    assert enumerate_interesting_paths(c, 3) == []
+    assert oracles.interesting_paths_brute(c, 3) == []
 
 
 def test_blue_interiors_are_traversed():
     # w r b r : the blue vertex sits inside the only interesting path.
     c = build("wrbr", (0, 1, 2), (1, 2, 2), (2, 3), (1, 3))
-    assert enumerate_interesting_paths(c, 1) == [(1, 2, 3), (1, 3)]
+    assert oracles.interesting_paths_brute(c, 1) == [(1, 2, 3), (1, 3)]
 
 
 def test_parallel_edges_do_not_duplicate_paths():
     c = red_chain(2)
-    assert enumerate_interesting_paths(c, 1) == [(1, 2)]
-
-
-def test_enumeration_is_lexicographic_and_matches_brute_force():
-    c = build(
-        "wrrbrr",
-        (0, 1, 2),
-        (1, 2, 2),
-        (1, 3, 1),
-        (2, 3, 1),
-        (3, 4, 2),
-        (2, 5, 1),
-        (4, 5, 1),
-    )
-    for level in (1, 2, 3):
-        assert enumerate_interesting_paths(c, level) == oracles.interesting_paths_brute(
-            c, level
-        )
-
-
-def test_cap_exceeded():
-    c = red_chain(5)
-    with pytest.raises(CapExceeded):
-        enumerate_interesting_paths(c, 1, cap=2)
-
-
-@PROPERTY
-@given(circuits(max_vertices=9))
-def test_enumeration_matches_brute_force(circuit):
-    for level in (1, 2, 3):
-        mine = enumerate_interesting_paths(circuit, level)
-        assert mine == oracles.interesting_paths_brute(circuit, level)
-        assert all(is_interesting_path(circuit, p, level) for p in mine)
+    assert oracles.interesting_paths_brute(c, 1) == [(1, 2)]
 
 
 # --- feasibility equivalence ---------------------------------------------
@@ -95,8 +54,8 @@ def test_enumeration_matches_brute_force(circuit):
 
 def test_final_vertex_mark_does_not_cover():
     c = red_chain(2)
-    assert not is_feasible_by_paths(c, frozenset({2}), 1)
-    assert is_feasible_by_paths(c, frozenset({1}), 1)
+    assert not oracles.feasible_by_paths_brute(c, frozenset({2}), 1)
+    assert oracles.feasible_by_paths_brute(c, frozenset({1}), 1)
 
 
 @PROPERTY
@@ -106,64 +65,46 @@ def test_path_cover_equals_level_recursion(case):
 
     circuit, marks = case
     for level in (1, 2, 3):
-        assert is_feasible_by_paths(circuit, marks, level) == is_feasible_by_levels(
-            circuit, marks, level
-        )
+        by_paths = oracles.feasible_by_paths_brute(circuit, marks, level)
+        assert by_paths == is_feasible_by_levels(circuit, marks, level)
 
 
 # --- blue distances -------------------------------------------------------
+# A level-1 Blue entry is the least weight of a path from a Red start whose
+# interior is all Blue: the blue-interior distance from that Red.
 
 
 def test_blue_distances_chain():
     # w -> u(red) -> b(blue) -> v(blue), x_u = 0.4, x_b = 0.2
     c = build("wrbb", (0, 1, 2), (1, 2, 2), (2, 3, 2))
-    delta = blue_distances(c, [0.0, 0.4, 0.2, 0.0])
-    assert delta[1] == pytest.approx({2: 0.4, 3: 0.6})
+    t = level_lengths(c, 1, [0.0, 0.4, 0.2, 0.0])
+    assert t.lengths[1][2:] == pytest.approx([0.4, 0.6])
 
 
 def test_blue_distances_absent_pair():
-    # Two parallel stacks; u cannot reach the other stack's blue vertex.
+    # Two parallel stacks; u cannot reach the other stack's blue vertex, so
+    # no path visits both Reds.
     c = build("wwrbrb", (0, 2, 2), (2, 3, 2), (1, 4, 2), (4, 5, 2))
-    delta = blue_distances(c, [0.0] * 6)
-    assert 5 not in delta[2]
-    assert 3 not in delta[4]
+    t = level_lengths(c, 1, [0.0] * 6)
+    assert t.lengths[1][3] == t.lengths[1][5] == 0.0
+    assert all(math.isinf(length) for length in t.lengths[2])
 
 
 def test_blue_distances_red_interior_blocks():
-    # u(red) -> r(red) -> b(blue): no all-blue interior path u..b.
+    # u(red) -> r(red) -> b(blue): no all-blue interior path u..b, so b's
+    # level-1 entry starts at r and the path from u sits one level up.
     c = build("wrrb", (0, 1, 2), (1, 2, 2), (2, 3, 2))
-    delta = blue_distances(c, [0.0, 0.5, 0.5, 0.0])
-    assert delta[1] == {}
-    assert delta[2] == {3: 0.5}
+    t = level_lengths(c, 2, [0.0, 0.5, 0.5, 0.0])
+    assert t.lengths[1][3] == 0.5
+    assert t.parents[1][3] == 2
+    assert t.lengths[2][3] == 1.0
 
 
 def test_blue_distances_pick_cheaper_route():
     # u -> b1 -> b3 and u -> b2 -> b3 with asymmetric weights.
     c = build("wrbbb", (0, 1, 2), (1, 2, 2), (1, 3, 2), (2, 4), (3, 4))
-    delta = blue_distances(c, [0.0, 0.1, 0.7, 0.2, 0.0])
-    assert delta[1][4] == pytest.approx(0.3)  # via b2: x_u + x_b2
-
-
-@PROPERTY
-@given(weighted_circuits(max_vertices=9))
-def test_blue_distances_match_brute_force(case):
-    circuit, weights = case
-    delta = blue_distances(circuit, weights)
-    blues = set(circuit.blue_vertices)
-    reds = set(circuit.red_vertices)
-    # Brute force: paths starting Red whose interior is Blue, ending Blue.
-    expected: dict[int, dict[int, float]] = {u: {} for u in reds}
-    for p in oracles.all_paths(circuit):
-        if len(p) < 2 or p[0] not in reds or p[-1] not in blues:
-            continue
-        if any(v not in blues for v in p[1:-1]):
-            continue
-        length = sum(weights[v] for v in p[:-1])
-        d = expected[p[0]]
-        if length < d.get(p[-1], math.inf) - 1e-12:
-            d[p[-1]] = length
-    for u in reds:
-        assert delta[u] == pytest.approx(expected[u])
+    t = level_lengths(c, 1, [0.0, 0.1, 0.7, 0.2, 0.0])
+    assert t.lengths[1][4] == pytest.approx(0.3)  # via b2: x_u + x_b2
 
 
 # --- level-length table ----------------------------------------------------
@@ -198,32 +139,23 @@ def test_table_red_base_and_white_rows():
     assert t.lengths[1][3] == 0.0
 
 
-def test_blue_rows_compose_from_red_rows_and_delta():
-    """The table's Blue entries equal min over Red u of lengths[i][u] + delta."""
-    c = build(
-        "wrrbbr",
-        (0, 1, 2),
-        (1, 2, 2),
-        (2, 3, 1),
-        (1, 3, 1),
-        (3, 4, 2),
-        (4, 5, 1),
-        (2, 5, 1),
-    )
-    x = [0.0, 0.15, 0.3, 0.2, 0.05, 0.0]
-    t = level_lengths(c, 2, x)
-    delta = blue_distances(t.circuit, t.weights)
-    for i in range(1, 4):
-        for v in c.blue_vertices:
-            expected = min(
-                (t.lengths[i][u] + delta[u].get(v, math.inf) for u in c.red_vertices),
-                default=math.inf,
-            )
-            assert t.lengths[i][v] == pytest.approx(expected)
-
-
 @PROPERTY
 @given(weighted_circuits(max_vertices=9))
+@example(
+    (
+        build(
+            "wrrbbr",
+            (0, 1, 2),
+            (1, 2, 2),
+            (2, 3, 1),
+            (1, 3, 1),
+            (3, 4, 2),
+            (4, 5, 1),
+            (2, 5, 1),
+        ),
+        [0.0, 0.15, 0.3, 0.2, 0.05, 0.0],
+    )
+)
 def test_table_matches_path_enumeration(case):
     circuit, weights = case
     for level in (1, 2, 3):
@@ -237,26 +169,6 @@ def test_table_matches_path_enumeration(case):
                     assert math.isinf(got)
                 else:
                     assert got == pytest.approx(expected, abs=1e-9)
-
-
-@PROPERTY
-@given(weighted_circuits(max_vertices=9))
-def test_blue_rows_equal_delta_composition(case):
-    circuit, weights = case
-    level = 2
-    t = level_lengths(circuit, level, weights)
-    delta = blue_distances(t.circuit, t.weights)
-    for i in range(1, level + 2):
-        for v in circuit.blue_vertices:
-            expected = min(
-                (t.lengths[i][u] + delta[u].get(v, math.inf) for u in circuit.red_vertices),
-                default=math.inf,
-            )
-            got = t.lengths[i][v]
-            if math.isinf(expected):
-                assert math.isinf(got)
-            else:
-                assert got == pytest.approx(expected, abs=1e-9)
 
 
 # --- extraction ------------------------------------------------------------
@@ -275,11 +187,12 @@ def test_extracted_path_length_matches_table(case):
     circuit, weights = case
     level = 2
     t = level_lengths(circuit, level, weights)
+    interesting = set(oracles.interesting_paths_brute(circuit, level))
     for v in circuit.red_vertices:
         if math.isinf(t.lengths[level + 1][v]):
             continue
         p = backtrack_interesting_path(t, v)
-        assert is_interesting_path(circuit, p, level)
+        assert p in interesting
         assert p[-1] == v
         assert sum(weights[u] for u in p[:-1]) == pytest.approx(
             t.lengths[level + 1][v], abs=1e-9
@@ -306,7 +219,7 @@ def test_bypass_does_not_shortcut_interesting_path():
     k = 3
     c = make_bypass_circuit(k)
     v = 3 + k
-    assert enumerate_interesting_paths(c, 2) == [(1, 2, 3, 4, 5, v)]
+    assert oracles.interesting_paths_brute(c, 2) == [(1, 2, 3, 4, 5, v)]
     x = [0.0] * c.n
     for i in range(3, 3 + k):
         x[i] = 1.0 / k

@@ -1,0 +1,69 @@
+"""plan(): the one solve pipeline behind `bootplan solve`."""
+
+from __future__ import annotations
+
+import pytest
+
+from bootplan.baselines import after_every_red, greedy_topological
+from bootplan.exact import exact_bootstrap
+from bootplan.generate import red_chain
+from bootplan.lp import solve_relaxation
+from bootplan.pipeline import METHODS, plan
+from bootplan.rounding import derandomized_round, randomized_round
+from strategies import build
+
+# The two golden circuits of test_acceptance_07 and their budgets.
+SHARED_FAN_OUT = build(
+    "wrbrr", (0, 1, 2), (1, 2, 2), (2, 3, 1), (1, 3, 1), (3, 4, 1), (2, 4, 1)
+)
+GOLDEN = [(SHARED_FAN_OUT, 1, frozenset({1, 3})), (red_chain(7), 3, frozenset({3, 6}))]
+
+
+@pytest.mark.parametrize("circuit, level, rounded", GOLDEN, ids=["fan-out", "red-chain"])
+def test_golden_marks_through_plan(circuit, level, rounded):
+    direct = {
+        "lp-round": derandomized_round(
+            circuit, level, solve_relaxation(circuit, level).tables
+        ).marks,
+        "exact": exact_bootstrap(circuit, level).witness,
+        "after-red": after_every_red(circuit),
+        "greedy": greedy_topological(circuit, level),
+    }
+    assert set(direct) == set(METHODS)
+    for method in METHODS:
+        result = plan(circuit, level, method)
+        assert result.marks == direct[method]
+        assert result.verified
+    assert plan(circuit, level).marks == rounded
+
+
+def test_steps_that_ran_are_reported():
+    circuit, level, _ = GOLDEN[1]
+    by_lp = plan(circuit, level)
+    assert by_lp.lp.objective == pytest.approx(2.0)
+    assert by_lp.exact is None
+    by_exact = plan(circuit, level, "exact")
+    assert by_exact.exact.optimum == 2
+    assert by_exact.lp is None and by_exact.rounding is None
+    baseline = plan(circuit, level, "greedy")
+    assert baseline.lp is None and baseline.rounding is None and baseline.exact is None
+
+
+def test_lp_round_rounds_the_certified_table():
+    circuit, level, _ = GOLDEN[1]
+    result = plan(circuit, level)
+    assert result.rounding == derandomized_round(circuit, level, result.lp.tables)
+
+
+def test_seeded_randomized_plan_is_repeatable():
+    circuit, level, _ = GOLDEN[1]
+    first = plan(circuit, level, seed=11)
+    second = plan(circuit, level, seed=11)
+    assert first.rounding == second.rounding
+    assert first.rounding == randomized_round(circuit, level, first.lp.tables, 11)
+    assert first.verified
+
+
+def test_unknown_method_raises():
+    with pytest.raises(ValueError, match="unknown method 'simplex'"):
+        plan(red_chain(3), 1, "simplex")

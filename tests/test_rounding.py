@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from bootplan.circuit import eval_levels, is_feasible_by_levels
+from bootplan.circuit import Color, eval_levels, is_feasible_by_levels
 from bootplan.errors import NoFeasibleCandidate
 from bootplan.generate import random_circuit
 from bootplan.lp import solve_relaxation
@@ -132,8 +132,9 @@ def test_budget_mismatch_rejected():
 def test_round_at_never_marks_white(args, level):
     circuit, weights = args
     tables = level_lengths(circuit, level, weights)
+    whites = {v for v in range(circuit.n) if circuit.colors[v] is Color.WHITE}
     for t in breakpoints(tables, level):
-        assert round_at(tables, level, t).isdisjoint(circuit.white_vertices)
+        assert round_at(tables, level, t).isdisjoint(whites)
 
 
 @PROPERTY
