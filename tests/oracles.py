@@ -100,6 +100,26 @@ def min_lengths_brute(
     return best
 
 
+def blue_distances_brute(
+    circuit: Circuit, weights: list[float]
+) -> dict[int, dict[int, float]]:
+    """{red u: {blue v: least non-final weight sum over u..v paths, interior all Blue}}."""
+    colors = circuit.colors
+    out: dict[int, dict[int, float]] = {
+        v: {} for v in range(circuit.n) if colors[v] is Color.RED
+    }
+    for p in all_paths(circuit):
+        u, v = p[0], p[-1]
+        if colors[u] is not Color.RED or colors[v] is not Color.BLUE:
+            continue
+        if any(colors[w] is not Color.BLUE for w in p[1:-1]):
+            continue
+        length = sum(weights[w] for w in p[:-1])
+        if length < out[u].get(v, math.inf):
+            out[u][v] = length
+    return out
+
+
 def covering_lp_by_vertex_enumeration(
     rows: list[frozenset[int]], nvars: int
 ) -> float:

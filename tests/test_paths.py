@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 
 import oracles
+from bootplan.circuit import Color
 from bootplan.paths import backtrack_interesting_path, level_lengths
 from strategies import build, marked_circuits, weighted_circuits
 
@@ -137,6 +138,31 @@ def test_table_red_base_and_white_rows():
         assert t.lengths[i][0] == math.inf
     assert t.lengths[1][1] == 0.0
     assert t.lengths[1][3] == 0.0
+
+
+def test_blue_rows_compose_from_red_rows_and_delta():
+    """The table's Blue entries equal min over Red u of lengths[i][u] + delta."""
+    c = build(
+        "wrrbbr",
+        (0, 1, 2),
+        (1, 2, 2),
+        (2, 3, 1),
+        (1, 3, 1),
+        (3, 4, 2),
+        (4, 5, 1),
+        (2, 5, 1),
+    )
+    x = [0.0, 0.15, 0.3, 0.2, 0.05, 0.0]
+    t = level_lengths(c, 2, x)
+    delta = oracles.blue_distances_brute(c, x)
+    blues = [v for v in range(c.n) if c.colors[v] is Color.BLUE]
+    for i in range(1, 4):
+        for v in blues:
+            expected = min(
+                (t.lengths[i][u] + delta[u].get(v, math.inf) for u in c.red_vertices),
+                default=math.inf,
+            )
+            assert t.lengths[i][v] == pytest.approx(expected)
 
 
 @PROPERTY
