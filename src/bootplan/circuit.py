@@ -13,8 +13,9 @@ where masked(u) = 0 if u is in S else level(u).  Marking a vertex resets its
 contribution to successors only; its own level is unchanged.  A mark set is
 feasible for budget L when every level stays <= L.
 
-Vertex ids are dense integers 0..n-1.  Circuits are immutable after
-construction and safe to share between threads.
+Vertex ids are dense integers 0..n-1.  A circuit stores colors, names, a
+topological order and distinct predecessors, and derives its edge list from
+them (see Circuit); it is immutable and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -38,16 +39,15 @@ class Color(Enum):
 class Circuit:
     """Validated circuit.  Build instances through :func:`validate`.
 
-    colors[v] is the color of vertex v; edges holds (src, dst, multiplicity)
-    sorted by endpoint; topo is a topological order of all ids; preds/succs
-    list unique neighbor ids in ascending order (multiplicity collapsed).
+    colors[v] is the color of vertex v; topo is a topological order of all
+    ids; preds[v] lists the distinct predecessors of v in ascending order.
+    edges is derived from preds by the indegree rule: a gate with one distinct
+    predecessor has a double edge from it, one with two a single edge from each.
     """
 
     colors: tuple[Color, ...]
-    edges: tuple[tuple[int, int, int], ...]
     topo: tuple[int, ...]
     preds: tuple[tuple[int, ...], ...]
-    succs: tuple[tuple[int, ...], ...]
     names: tuple[str, ...] | None = None
 
     @property
@@ -55,9 +55,14 @@ class Circuit:
         return len(self.colors)
 
     @cached_property
+    def edges(self) -> tuple[tuple[int, int, int], ...]:
+        """(src, dst, multiplicity) triples sorted by endpoints."""
+        return tuple(sorted((u, v, 2 // len(ps)) for v, ps in enumerate(self.preds) for u in ps))
+
+    @cached_property
     def edge_count(self) -> int:
-        """Number of edges counted with multiplicity."""
-        return sum(m for _, _, m in self.edges)
+        """Number of edges counted with multiplicity: two per gate."""
+        return 2 * sum(1 for c in self.colors if c is not Color.WHITE)
 
     @cached_property
     def red_vertices(self) -> tuple[int, ...]:
@@ -77,11 +82,12 @@ def require_level(level: int) -> None:
 
 def dag_order(
     n: int, arcs: Iterable[tuple[int, int]], what: str
-) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """Topological order plus ascending unique preds/succs of a graph on 0..n-1.
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """Topological order plus ascending distinct preds of a graph on 0..n-1.
 
     Arcs must have endpoints in range; repeated arcs collapse.  Kahn's
-    algorithm pops the smallest ready id first, so the order is deterministic.
+    algorithm runs on successor sets that are not returned, and pops the
+    smallest ready id first, so the order is deterministic.
     Raises CycleDetected("<what> contains a cycle") when the graph is cyclic.
     """
     pred_sets: list[set[int]] = [set() for _ in range(n)]
@@ -103,11 +109,7 @@ def dag_order(
                 heapq.heappush(ready, w)
     if len(topo) != n:
         raise CycleDetected(f"{what} contains a cycle")
-    return (
-        tuple(topo),
-        tuple(tuple(sorted(s)) for s in pred_sets),
-        tuple(tuple(sorted(s)) for s in succ_sets),
-    )
+    return tuple(topo), tuple(tuple(sorted(s)) for s in pred_sets)
 
 
 def validate(
@@ -143,7 +145,8 @@ def validate(
         if len(name_tuple) != n:
             raise ValueError("names must cover every vertex")
 
-    mult: dict[tuple[int, int], int] = {}
+    indeg = [0] * n
+    arcs: list[tuple[int, int]] = []
     for e in raw_edges:
         if len(e) == 2:
             src, dst = e
@@ -157,11 +160,9 @@ def validate(
                 raise UnknownVertex(endpoint)
         if not isinstance(m, int) or m < 1:
             raise ValueError(f"edge multiplicity must be an integer >= 1, got {m!r}")
-        mult[(src, dst)] = mult.get((src, dst), 0) + m
-
-    indeg = [0] * n
-    for (_, dst), m in mult.items():
         indeg[dst] += m
+        arcs.append((src, dst))
+
     for v in range(n):
         expected = 0 if colors[v] is Color.WHITE else 2
         if indeg[v] != expected:
@@ -169,16 +170,9 @@ def validate(
                 v, expected, indeg[v], name_tuple[v] if name_tuple else None
             )
 
-    topo, preds, succs = dag_order(n, mult, "circuit graph")
+    topo, preds = dag_order(n, arcs, "circuit graph")
 
-    return Circuit(
-        colors=tuple(colors),  # type: ignore[arg-type]
-        edges=tuple(sorted((s, d, m) for (s, d), m in mult.items())),
-        topo=topo,
-        preds=preds,
-        succs=succs,
-        names=name_tuple,
-    )
+    return Circuit(tuple(colors), topo, preds, name_tuple)  # type: ignore[arg-type]
 
 
 def _check_marks(circuit: Circuit, marks: Set[int]) -> frozenset[int]:

@@ -10,8 +10,8 @@ import argparse
 import sys
 import time
 from collections import Counter
-from contextlib import ExitStack
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 from typing import TextIO
 
@@ -19,56 +19,12 @@ from . import exact, formats, generate
 from .circuit import Circuit, eval_levels, require_level
 from .dvd import reduce_to_circuit
 from .errors import BootplanError, ResourceLimit
-from .pipeline import METHODS, plan
+from .pipeline import METHODS, Plan, plan
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
-
-
-@dataclass
-class RunReport:
-    """Everything cmd_solve learned about one run, in printable form."""
-
-    instance: str
-    vertices: int
-    edges: int
-    level: int
-    method: str
-    cardinality: int
-    seconds: float
-    verified: bool
-    marks: list[str]
-    lp_objective: float | None = None
-    exact_optimum: int | None = None
-    extra: dict[str, str] = field(default_factory=dict)
-
-    def pairs(self) -> list[tuple[str, str]]:
-        """The report's fields, in print order."""
-        pairs = [
-            ("instance", self.instance),
-            ("vertices", str(self.vertices)),
-            ("edges", str(self.edges)),
-            ("level", str(self.level)),
-            ("method", self.method),
-            ("cardinality", str(self.cardinality)),
-            ("time_s", f"{self.seconds:.6f}"),
-            ("verified_feasible", "yes" if self.verified else "no"),
-        ]
-        if self.lp_objective is not None:
-            pairs.append(("lp_objective", f"{self.lp_objective:.9f}"))
-        if self.exact_optimum is not None:
-            pairs.append(("exact_optimum", str(self.exact_optimum)))
-        pairs.extend(self.extra.items())
-        pairs.append(("marks", " ".join(self.marks)))
-        return pairs
-
-    def to_text(self) -> str:
-        return "\n".join(f"{k}: {v}" for k, v in self.pairs())
-
-    def to_kv(self) -> str:
-        return "\n".join(f"{k}\t{v}" for k, v in self.pairs()) + "\n"
 
 
 def _read(path: str) -> str:
@@ -85,9 +41,17 @@ def _open_out(path: str) -> TextIO:
         raise BootplanError(f"cannot write {path}: {exc.strerror}") from exc
 
 
-def _write(path: str, text: str) -> None:
+@contextmanager
+def _output(path: str) -> Iterator[TextIO]:
+    """_open_out for a file written whole or not at all: deleted if the body raises."""
     with _open_out(path) as f:
-        f.write(text)
+        try:
+            yield f
+        except BaseException:
+            f.close()
+            if Path(path).is_file():  # never unlink a device such as /dev/null
+                Path(path).unlink()
+            raise
 
 
 def _load_circuit(path: str) -> Circuit:
@@ -113,11 +77,40 @@ def cmd_check(args: argparse.Namespace) -> int:
     return EXIT_INFEASIBLE
 
 
+def _solve_report(
+    args: argparse.Namespace, circuit: Circuit, result: Plan, seconds: float
+) -> list[tuple[str, str]]:
+    """The solve report's (key, value) fields, in print order."""
+    pairs = [
+        ("instance", Path(args.circuit).name),
+        ("vertices", str(circuit.n)),
+        ("edges", str(circuit.edge_count)),
+        ("level", str(args.level)),
+        ("method", args.method),
+        ("cardinality", str(len(result.marks))),
+        ("time_s", f"{seconds:.6f}"),
+        ("verified_feasible", "yes" if result.verified else "no"),
+    ]
+    if result.lp is not None:
+        pairs.append(("lp_objective", f"{result.lp.objective:.9f}"))
+        pairs.append(("t_used", f"{result.rounding.t_used:.9f}"))
+        if args.randomized:
+            pairs.append(("seed", str(args.seed)))
+        pairs.append(("lp_constraints", str(result.lp.constraints_generated)))
+        pairs.append(("lp_iterations", str(result.lp.iterations)))
+    if result.exact is not None:
+        pairs.append(("exact_optimum", str(result.exact.optimum)))
+        pairs.append(("subsets_explored", str(result.exact.explored)))
+    pairs.append(("marks", " ".join(sorted(circuit.name_of(v) for v in result.marks))))
+    return pairs
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
-    circuit = _load_circuit(args.circuit)
     require_level(args.level)
+    circuit = _load_circuit(args.circuit)
     with ExitStack() as files:
-        out = files.enter_context(_open_out(args.out)) if args.out else None
+        # A failed solve leaves no report, but its trace explains the failure.
+        out = files.enter_context(_output(args.out)) if args.out else None
         trace = files.enter_context(_open_out(args.trace)) if args.trace else None
         start = time.perf_counter()
         result = plan(
@@ -128,32 +121,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
             trace=trace,
             max_subsets=args.max_exact_subsets,
         )
-        report = RunReport(
-            instance=Path(args.circuit).name,
-            vertices=circuit.n,
-            edges=circuit.edge_count,
-            level=args.level,
-            method=args.method,
-            cardinality=len(result.marks),
-            seconds=time.perf_counter() - start,
-            verified=result.verified,
-            marks=sorted(circuit.name_of(v) for v in result.marks),
-        )
-        if result.lp is not None:
-            report.lp_objective = result.lp.objective
-            report.extra["t_used"] = f"{result.rounding.t_used:.9f}"
-            if args.randomized:
-                report.extra["seed"] = str(args.seed)
-            report.extra["lp_constraints"] = str(result.lp.constraints_generated)
-            report.extra["lp_iterations"] = str(result.lp.iterations)
-        if result.exact is not None:
-            report.exact_optimum = result.exact.optimum
-            report.extra["subsets_explored"] = str(result.exact.explored)
-
-        print(report.to_text())
+        pairs = _solve_report(args, circuit, result, time.perf_counter() - start)
+        print("\n".join(f"{k}: {v}" for k, v in pairs))
         if out is not None:
-            out.write(report.to_kv())
-    return EXIT_OK if report.verified else EXIT_INFEASIBLE
+            out.write("".join(f"{k}\t{v}\n" for k, v in pairs))
+    return EXIT_OK if result.verified else EXIT_INFEASIBLE
 
 
 def cmd_reduce_dvd(args: argparse.Namespace) -> int:
@@ -170,8 +142,10 @@ def cmd_reduce_dvd(args: argparse.Namespace) -> int:
         map_lines.append(f"gadget\t{instance.name_of(v)}\t{joined}")
     map_text = "\n".join(map_lines) + "\n"
     if args.out:
-        _write(args.out, circuit_text)
-        _write(args.map_out or args.out + ".map", map_text)
+        map_path = args.map_out or args.out + ".map"
+        with _output(args.out) as out, _output(map_path) as map_file:
+            out.write(circuit_text)
+            map_file.write(map_text)
     else:
         sys.stdout.write(circuit_text)
         sys.stdout.write(map_text)
@@ -187,7 +161,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
         circuit = generate.series_parallel(args.size, args.red_fraction, args.seed)
     text = formats.format_circuit(circuit)
     if args.out:
-        _write(args.out, text)
+        with _output(args.out) as f:
+            f.write(text)
     else:
         sys.stdout.write(text)
     return EXIT_OK

@@ -2,9 +2,10 @@
 
 DVD asks for a minimum set of vertices whose removal leaves no directed path
 with L vertices (L >= 2); dvd_is_feasible tests a deletion set against that
-rule.  Adjacency and topological order come from circuit.dag_order, the
-builder circuits use too.  The reduction maps an instance H to a circuit G
-whose minimum bootstrap sets have the same size:
+rule.  An instance stores a topological order and the distinct predecessors
+of each vertex, both from circuit.dag_order (shared with circuits), and
+derives its edge list from them.  The reduction maps an instance H to a
+circuit G whose minimum bootstrap sets have the same size:
 
   * every original vertex becomes Red and keeps its id;
   * a White source s0 pads originals with fewer than two in-edges up to
@@ -35,16 +36,19 @@ from .errors import InfeasibleInput, UnknownVertex
 class DvdInstance:
     """Validated DVD instance; build through :func:`validate_dvd`."""
 
-    edges: tuple[tuple[int, int], ...]
     level: int
     topo: tuple[int, ...]
     preds: tuple[tuple[int, ...], ...]
-    succs: tuple[tuple[int, ...], ...]
     names: tuple[str, ...] | None = None
 
     @property
     def n(self) -> int:
         return len(self.topo)
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Distinct (src, dst) arcs sorted by endpoints."""
+        return tuple(sorted((u, v) for v, ps in enumerate(self.preds) for u in ps))
 
     def name_of(self, v: int) -> str:
         if self.names is not None:
@@ -61,12 +65,12 @@ def validate_dvd(
     """Simple-graph DAG over ids 0..n-1; duplicate edges collapse."""
     if not isinstance(level, int) or isinstance(level, bool) or level < 2:
         raise ValueError(f"DVD level must be an integer >= 2, got {level!r}")
-    edge_set: set[tuple[int, int]] = set()
+    arcs: list[tuple[int, int]] = []
     for src, dst in raw_edges:
         for endpoint in (src, dst):
             if not isinstance(endpoint, int) or endpoint < 0 or endpoint >= n:
                 raise UnknownVertex(endpoint)
-        edge_set.add((src, dst))
+        arcs.append((src, dst))
 
     name_tuple = None
     if names is not None:
@@ -74,16 +78,9 @@ def validate_dvd(
         if len(name_tuple) != n:
             raise ValueError("names must cover every vertex")
 
-    topo, preds, succs = dag_order(n, edge_set, "deletion instance")
+    topo, preds = dag_order(n, arcs, "deletion instance")
 
-    return DvdInstance(
-        edges=tuple(sorted(edge_set)),
-        level=level,
-        topo=topo,
-        preds=preds,
-        succs=succs,
-        names=name_tuple,
-    )
+    return DvdInstance(level=level, topo=topo, preds=preds, names=name_tuple)
 
 
 def longest_path_vertices(instance: DvdInstance, deleted: Set[int]) -> int:

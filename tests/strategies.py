@@ -16,7 +16,8 @@ def build(colors: str, *edges: tuple) -> Circuit:
 
 
 @st.composite
-def circuits(draw, max_vertices: int = 10) -> Circuit:
+def circuit_parts(draw, max_vertices: int = 10):
+    """(vertices, edges) as validate takes them, for a random circuit."""
     n = draw(st.integers(min_value=1, max_value=max_vertices))
     vertices: list[tuple[int, Color]] = [(0, Color.WHITE)]
     edges: list[tuple[int, int, int]] = []
@@ -32,7 +33,11 @@ def circuits(draw, max_vertices: int = 10) -> Circuit:
         else:
             edges.append((a, v, 1))
             edges.append((b, v, 1))
-    return validate(vertices, edges)
+    return vertices, edges
+
+
+def circuits(max_vertices: int = 10) -> st.SearchStrategy[Circuit]:
+    return circuit_parts(max_vertices).map(lambda parts: validate(*parts))
 
 
 @st.composite

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from bootplan.circuit import (
@@ -13,8 +16,9 @@ from bootplan.circuit import (
     max_level,
     validate,
 )
+from bootplan.dvd import validate_dvd
 from bootplan.errors import CycleDetected, IndegreeViolation, UnknownVertex
-from strategies import build, circuits, marked_circuits
+from strategies import build, circuit_parts, circuits, marked_circuits
 
 PROPERTY = settings(max_examples=200, deadline=None)
 
@@ -75,6 +79,26 @@ def test_parallel_edges_aggregate():
     c = build("wr", (0, 1), (0, 1))
     assert c.edges == ((0, 1, 2),)
     assert c.edge_count == 2
+
+
+@PROPERTY
+@given(circuit_parts(), st.randoms(use_true_random=False))
+def test_edges_are_derived_from_preds(parts, rnd):
+    # Feed validate the edges split into single arcs where it may, in a
+    # shuffled order; the derived edge lists must still aggregate them.
+    vertices, edges = parts
+    raw = []
+    for src, dst, m in edges:
+        raw += [(src, dst), (src, dst, 1)] if m == 2 and rnd.random() < 0.5 else [(src, dst, m)]
+    rnd.shuffle(raw)
+    mult = Counter()
+    for e in raw:
+        mult[e[:2]] += e[2] if len(e) == 3 else 1
+    c = validate(vertices, raw)
+    assert c.edges == tuple(sorted((s, d, m) for (s, d), m in mult.items()))
+    gates = sum(1 for _, color in vertices if color is not Color.WHITE)
+    assert c.edge_count == sum(mult.values()) == 2 * gates
+    assert validate_dvd(c.n, [e[:2] for e in raw], 2).edges == tuple(sorted(mult))
 
 
 def test_topo_order_recomputed_from_scrambled_input():

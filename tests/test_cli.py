@@ -153,6 +153,23 @@ def test_solve_exact_cap_exits_3(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_failed_solve_removes_its_report_file(tmp_path, capsys):
+    circuit = write(tmp_path, "c.txt", CHAIN)
+    report = tmp_path / "capped.tsv"
+    trace = tmp_path / "capped.trace"
+    code = main(
+        [
+            "solve", circuit, "--level", "1",
+            "--method", "exact", "--max-exact-subsets", "2",
+            "--out", str(report), "--trace", str(trace),
+        ]
+    )
+    assert code == 3
+    assert "error:" in capsys.readouterr().err
+    assert not report.exists()
+    assert trace.exists()  # kept: its rounds explain a failed solve
+
+
 def test_simplex_iteration_cap_exits_3(tmp_path, capsys, monkeypatch):
     def capped(a):
         raise IterationLimitExceeded("simplex iteration limit hit")
@@ -210,6 +227,7 @@ def test_unwritable_outputs_exit_2(tmp_path, capsys):
         assert f"error: cannot write {missing}" in captured.err
         if argv[0] == "solve":
             assert captured.out == ""  # failed before solving
+    assert not (tmp_path / "r.txt").exists()  # reduce-dvd wrote neither output
 
 
 def test_usage_errors_exit_2(tmp_path, capsys):
@@ -221,6 +239,14 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["solve", circuit, "--level", "0"]) == 2
     err = capsys.readouterr().err
     assert err.count("error:") == 3
+
+
+def test_solve_checks_the_level_before_parsing(tmp_path, capsys):
+    bad = write(tmp_path, "bad.txt", "node a purple\n")
+    assert main(["solve", bad, "--level", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "error: noise budget must be an integer >= 1" in err
+    assert "purple" not in err
 
 
 def test_reduce_dvd_to_files(tmp_path):
