@@ -13,15 +13,16 @@ where masked(u) = 0 if u is in S else level(u).  Marking a vertex resets its
 contribution to successors only; its own level is unchanged.  A mark set is
 feasible for budget L when every level stays <= L.
 
-Vertex ids are dense integers 0..n-1.  A circuit stores colors, names, a
-topological order and distinct predecessors, and derives its edge list from
-them (see Circuit); it is immutable and safe to share between threads.
+A vertex's id is its position in the color list, 0..n-1.  A circuit stores
+colors, names, a topological order and distinct predecessors, and derives its
+edge list from them (see Circuit); it is immutable and safe to share between
+threads.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections.abc import Iterable, Set
+from collections.abc import Iterable, Sequence, Set
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -74,70 +75,65 @@ class Circuit:
         return f"v{v}"
 
 
-def require_level(level: int) -> None:
-    """Noise budgets are integers >= 1; L = 0 is rejected at the boundary."""
-    if not isinstance(level, int) or isinstance(level, bool) or level < 1:
-        raise ValueError(f"noise budget must be an integer >= 1, got {level!r}")
+def require_level(level: int, least: int = 1, what: str = "noise budget") -> None:
+    """Noise budgets are integers >= 1 (DVD levels >= 2), checked at the boundary."""
+    if not isinstance(level, int) or isinstance(level, bool) or level < least:
+        raise ValueError(f"{what} must be an integer >= {least}, got {level!r}")
 
 
 def dag_order(
-    n: int, arcs: Iterable[tuple[int, int]], what: str
+    pred_sets: Sequence[Set[int]], what: str
 ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """Topological order plus ascending distinct preds of a graph on 0..n-1.
 
-    Arcs must have endpoints in range; repeated arcs collapse.  Kahn's
-    algorithm runs on successor sets that are not returned, and pops the
-    smallest ready id first, so the order is deterministic.
+    pred_sets[v] holds the distinct predecessors of v, all in range.  Kahn's
+    algorithm runs on successor lists built from the sorted preds, and pops
+    the smallest ready id first, so the order is deterministic.
     Raises CycleDetected("<what> contains a cycle") when the graph is cyclic.
     """
-    pred_sets: list[set[int]] = [set() for _ in range(n)]
-    succ_sets: list[set[int]] = [set() for _ in range(n)]
-    for src, dst in arcs:
-        pred_sets[dst].add(src)
-        succ_sets[src].add(dst)
+    n = len(pred_sets)
+    preds = tuple(tuple(sorted(s)) for s in pred_sets)
+    succs: list[list[int]] = [[] for _ in range(n)]
+    for v, ps in enumerate(preds):
+        for u in ps:
+            succs[u].append(v)
 
-    remaining = [len(pred_sets[v]) for v in range(n)]
+    remaining = [len(ps) for ps in preds]
     ready = [v for v in range(n) if remaining[v] == 0]
     heapq.heapify(ready)
     topo: list[int] = []
     while ready:
         v = heapq.heappop(ready)
         topo.append(v)
-        for w in succ_sets[v]:
+        for w in succs[v]:
             remaining[w] -= 1
             if remaining[w] == 0:
                 heapq.heappush(ready, w)
     if len(topo) != n:
         raise CycleDetected(f"{what} contains a cycle")
-    return tuple(topo), tuple(tuple(sorted(s)) for s in pred_sets)
+    return tuple(topo), preds
 
 
 def validate(
-    raw_vertices: Iterable[tuple[int, Color]],
+    colors: Sequence[Color],
     raw_edges: Iterable[tuple[int, ...]],
     names: Iterable[str] | None = None,
 ) -> Circuit:
     """Check structure and build an immutable Circuit.
 
-    raw_vertices yields (id, color) pairs whose ids must form 0..n-1; raw_edges
+    colors[v] is the color of vertex v, so ids are 0..len(colors)-1; raw_edges
     yields (src, dst) or (src, dst, multiplicity) with multiplicity >= 1 and
     parallel occurrences aggregated.  Raises UnknownVertex for dangling edge
     endpoints, IndegreeViolation when a color's indegree rule fails (White: 0,
     Blue/Red: exactly 2 counting multiplicity), and CycleDetected when the
     graph is not acyclic.  The returned topological order is recomputed, so
-    input order does not matter.
+    edge order does not matter.
     """
-    pairs = list(raw_vertices)
-    n = len(pairs)
-    colors: list[Color | None] = [None] * n
-    for vid, color in pairs:
-        if not isinstance(vid, int) or vid < 0 or vid >= n:
-            raise ValueError(f"vertex ids must be dense integers 0..{n - 1}, got {vid!r}")
-        if colors[vid] is not None:
-            raise ValueError(f"duplicate vertex id {vid}")
+    color_tuple = tuple(colors)
+    n = len(color_tuple)
+    for vid, color in enumerate(color_tuple):
         if not isinstance(color, Color):
             raise ValueError(f"bad color for vertex {vid}: {color!r}")
-        colors[vid] = color
 
     name_tuple: tuple[str, ...] | None = None
     if names is not None:
@@ -146,7 +142,7 @@ def validate(
             raise ValueError("names must cover every vertex")
 
     indeg = [0] * n
-    arcs: list[tuple[int, int]] = []
+    pred_sets: list[set[int]] = [set() for _ in range(n)]
     for e in raw_edges:
         if len(e) == 2:
             src, dst = e
@@ -161,18 +157,18 @@ def validate(
         if not isinstance(m, int) or m < 1:
             raise ValueError(f"edge multiplicity must be an integer >= 1, got {m!r}")
         indeg[dst] += m
-        arcs.append((src, dst))
+        pred_sets[dst].add(src)
 
     for v in range(n):
-        expected = 0 if colors[v] is Color.WHITE else 2
+        expected = 0 if color_tuple[v] is Color.WHITE else 2
         if indeg[v] != expected:
             raise IndegreeViolation(
                 v, expected, indeg[v], name_tuple[v] if name_tuple else None
             )
 
-    topo, preds = dag_order(n, arcs, "circuit graph")
+    topo, preds = dag_order(pred_sets, "circuit graph")
 
-    return Circuit(tuple(colors), topo, preds, name_tuple)  # type: ignore[arg-type]
+    return Circuit(color_tuple, topo, preds, name_tuple)
 
 
 def _check_marks(circuit: Circuit, marks: Set[int]) -> frozenset[int]:

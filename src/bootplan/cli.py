@@ -94,7 +94,7 @@ def _solve_report(
     if result.lp is not None:
         pairs.append(("lp_objective", f"{result.lp.objective:.9f}"))
         pairs.append(("t_used", f"{result.rounding.t_used:.9f}"))
-        if args.randomized:
+        if args.seed is not None:
             pairs.append(("seed", str(args.seed)))
         pairs.append(("lp_constraints", str(result.lp.constraints_generated)))
         pairs.append(("lp_iterations", str(result.lp.iterations)))
@@ -117,7 +117,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             circuit,
             args.level,
             args.method,
-            seed=args.seed if args.randomized else None,
+            seed=args.seed,
             trace=trace,
             max_subsets=args.max_exact_subsets,
         )
@@ -129,6 +129,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_reduce_dvd(args: argparse.Namespace) -> int:
+    require_level(args.level, 2, "DVD level")
     instance = formats.parse_dvd(_read(args.dvd), args.level, source=args.dvd)
     rmap = reduce_to_circuit(instance)
     circuit_text = formats.format_circuit(rmap.circuit)
@@ -184,8 +185,7 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("circuit")
     solve.add_argument("--level", type=int, required=True)
     solve.add_argument("--method", choices=METHODS, default="lp-round")
-    solve.add_argument("--seed", type=int, default=0)
-    solve.add_argument("--randomized", action="store_true")
+    solve.add_argument("--seed", type=int, help="round once, at a threshold drawn with this seed")
     solve.add_argument("--out")
     solve.add_argument("--trace")
     solve.add_argument("--max-exact-subsets", type=int, default=exact.DEFAULT_SUBSET_CAP)

@@ -28,7 +28,7 @@ from collections.abc import Iterable, Mapping, Set
 from dataclasses import dataclass
 from functools import cached_property
 
-from .circuit import Circuit, Color, dag_order, is_feasible_by_levels, validate
+from .circuit import Circuit, Color, dag_order, is_feasible_by_levels, require_level, validate
 from .errors import InfeasibleInput, UnknownVertex
 
 
@@ -63,14 +63,13 @@ def validate_dvd(
     names: Iterable[str] | None = None,
 ) -> DvdInstance:
     """Simple-graph DAG over ids 0..n-1; duplicate edges collapse."""
-    if not isinstance(level, int) or isinstance(level, bool) or level < 2:
-        raise ValueError(f"DVD level must be an integer >= 2, got {level!r}")
-    arcs: list[tuple[int, int]] = []
+    require_level(level, 2, "DVD level")
+    pred_sets: list[set[int]] = [set() for _ in range(n)]
     for src, dst in raw_edges:
         for endpoint in (src, dst):
             if not isinstance(endpoint, int) or endpoint < 0 or endpoint >= n:
                 raise UnknownVertex(endpoint)
-        arcs.append((src, dst))
+        pred_sets[dst].add(src)
 
     name_tuple = None
     if names is not None:
@@ -78,7 +77,7 @@ def validate_dvd(
         if len(name_tuple) != n:
             raise ValueError("names must cover every vertex")
 
-    topo, preds = dag_order(n, arcs, "deletion instance")
+    topo, preds = dag_order(pred_sets, "deletion instance")
 
     return DvdInstance(level=level, topo=topo, preds=preds, names=name_tuple)
 
@@ -171,7 +170,7 @@ def reduce_to_circuit(instance: DvdInstance) -> ReductionMap:
             gadget_of[v] = tuple(chain)
         edges.append((v, clone_of[v], 2))
 
-    circuit = validate(list(enumerate(colors)), edges, names=names)
+    circuit = validate(colors, edges, names=names)
     return ReductionMap(
         circuit=circuit,
         dvd=instance,

@@ -50,24 +50,24 @@ def parse_circuit(text: str, source: str = "<circuit>") -> Circuit:
         else:
             raise ParseError(f"unknown directive {tokens[0]!r}", source, lineno)
 
-    edges: list[tuple[int, int, int]] = []
-    for lineno, tokens in edge_lines:
-        if len(tokens) not in (3, 4):
-            raise ParseError("expected: edge <src> <dst> [multiplicity]", source, lineno)
-        for name in tokens[1:3]:
-            if name not in ids:
-                raise ParseError(f"edge references undeclared node {name!r}", source, lineno)
-        mult = 1
-        if len(tokens) == 4:
-            try:
-                mult = int(tokens[3])
-            except ValueError:
-                mult = 0
-            if mult < 1:
-                raise ParseError(f"bad multiplicity {tokens[3]!r}", source, lineno)
-        edges.append((ids[tokens[1]], ids[tokens[2]], mult))
+    def edges():
+        for lineno, tokens in edge_lines:
+            if len(tokens) not in (3, 4):
+                raise ParseError("expected: edge <src> <dst> [multiplicity]", source, lineno)
+            for name in tokens[1:3]:
+                if name not in ids:
+                    raise ParseError(f"edge references undeclared node {name!r}", source, lineno)
+            mult = 1
+            if len(tokens) == 4:
+                try:
+                    mult = int(tokens[3])
+                except ValueError:
+                    mult = 0
+                if mult < 1:
+                    raise ParseError(f"bad multiplicity {tokens[3]!r}", source, lineno)
+            yield ids[tokens[1]], ids[tokens[2]], mult
 
-    return validate(list(enumerate(colors)), edges, names=names)
+    return validate(colors, edges(), names=names)
 
 
 def format_circuit(circuit: Circuit) -> str:
@@ -99,15 +99,17 @@ def parse_dvd(text: str, level: int, source: str = "<dvd>") -> DvdInstance:
             edge_lines.append((lineno, tokens))
         else:
             raise ParseError(f"unknown directive {tokens[0]!r}", source, lineno)
-    edges: list[tuple[int, int]] = []
-    for lineno, tokens in edge_lines:
-        if len(tokens) != 3:
-            raise ParseError("expected: edge <src> <dst>", source, lineno)
-        for name in tokens[1:3]:
-            if name not in ids:
-                raise ParseError(f"edge references undeclared node {name!r}", source, lineno)
-        edges.append((ids[tokens[1]], ids[tokens[2]]))
-    return validate_dvd(len(names), edges, level, names=names)
+
+    def edges():
+        for lineno, tokens in edge_lines:
+            if len(tokens) != 3:
+                raise ParseError("expected: edge <src> <dst>", source, lineno)
+            for name in tokens[1:3]:
+                if name not in ids:
+                    raise ParseError(f"edge references undeclared node {name!r}", source, lineno)
+            yield ids[tokens[1]], ids[tokens[2]]
+
+    return validate_dvd(len(names), edges(), level, names=names)
 
 
 def format_dvd(instance: DvdInstance) -> str:

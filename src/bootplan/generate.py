@@ -25,10 +25,10 @@ def red_chain(length: int) -> Circuit:
     """One White source feeding a chain of `length` Red vertices."""
     if length < 1:
         raise ValueError("chain length must be >= 1")
-    vertices = [(0, Color.WHITE)] + [(i, Color.RED) for i in range(1, length + 1)]
+    colors = [Color.WHITE] + [Color.RED] * length
     edges = [(i, i + 1, 2) for i in range(length)]
     names = ["w0"] + [f"r{i}" for i in range(1, length + 1)]
-    return validate(vertices, edges, names=names)
+    return validate(colors, edges, names=names)
 
 
 def layered(
@@ -42,27 +42,27 @@ def layered(
     if layers < 1 or width < 1:
         raise ValueError("layers and width must be >= 1")
     rng = _rng(seed)
-    vertices: list[tuple[int, Color]] = []
+    colors: list[Color] = []
     edges: list[tuple[int, int, int]] = []
     names: list[str] = []
     for layer in range(layers):
         for slot in range(width):
             vid = layer * width + slot
             if layer == 0:
-                vertices.append((vid, Color.WHITE))
+                colors.append(Color.WHITE)
             else:
-                color = Color.RED if rng.random() < red_fraction else Color.BLUE
-                vertices.append((vid, color))
+                colors.append(Color.RED if rng.random() < red_fraction else Color.BLUE)
                 base = (layer - 1) * width
                 edges.append((base + rng.randrange(width), vid, 1))
                 edges.append((base + rng.randrange(width), vid, 1))
             names.append(f"n{layer}_{slot}")
-    return validate(vertices, edges, names=names)
+    return validate(colors, edges, names=names)
 
 
 def series_parallel(size: int, red_fraction: float, seed: int | random.Random) -> Circuit:
-    """Random two-terminal series/parallel compositions, indegrees fixed up
-    by doubling single in-edges; source vertices are White."""
+    """Random two-terminal series/parallel blocks, joined in series until
+    there are at least `size` vertices; indegrees are fixed up by doubling
+    single in-edges, and source vertices are White."""
     if size < 2:
         raise ValueError("size must be >= 2")
     rng = _rng(seed)
@@ -93,22 +93,25 @@ def series_parallel(size: int, red_fraction: float, seed: int | random.Random) -
         edges.append([b2, t])
         return s, t
 
-    block(12)
+    _, sink = block(12)
+    while node_count < size:
+        source, next_sink = block(12)
+        edges.append([sink, source])
+        sink = next_sink
     indeg = [0] * node_count
     for src, dst in edges:
         indeg[dst] += 1
     final_edges: list[tuple[int, int, int]] = []
     for src, dst in edges:
         final_edges.append((src, dst, 2 if indeg[dst] == 1 else 1))
-    vertices = []
-    names = []
+    colors: list[Color] = []
     for v in range(node_count):
         if indeg[v] == 0:
-            vertices.append((v, Color.WHITE))
+            colors.append(Color.WHITE)
         else:
-            vertices.append((v, Color.RED if rng.random() < red_fraction else Color.BLUE))
-        names.append(f"n{v}")
-    return validate(vertices, final_edges, names=names)
+            colors.append(Color.RED if rng.random() < red_fraction else Color.BLUE)
+    names = [f"n{v}" for v in range(node_count)]
+    return validate(colors, final_edges, names=names)
 
 
 def random_circuit(
@@ -123,17 +126,16 @@ def random_circuit(
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = _rng(seed)
-    vertices: list[tuple[int, Color]] = []
+    colors: list[Color] = []
     edges: list[tuple[int, int, int]] = []
     for v in range(n):
         if v == 0 or rng.random() < white_fraction:
-            vertices.append((v, Color.WHITE))
+            colors.append(Color.WHITE)
             continue
-        color = Color.RED if rng.random() < red_fraction else Color.BLUE
-        vertices.append((v, color))
+        colors.append(Color.RED if rng.random() < red_fraction else Color.BLUE)
         edges.append((rng.randrange(v), v, 1))
         edges.append((rng.randrange(v), v, 1))
-    return validate(vertices, edges)
+    return validate(colors, edges)
 
 
 def random_dvd(

@@ -11,19 +11,18 @@ COLOR_BY_LETTER = {"w": Color.WHITE, "b": Color.BLUE, "r": Color.RED}
 
 def build(colors: str, *edges: tuple) -> Circuit:
     """Compact fixture builder: build("wrr", (0,1,2), (1,2,2))."""
-    vertices = [(i, COLOR_BY_LETTER[ch]) for i, ch in enumerate(colors)]
-    return validate(vertices, list(edges))
+    return validate([COLOR_BY_LETTER[ch] for ch in colors], list(edges))
 
 
 @st.composite
 def circuit_parts(draw, max_vertices: int = 10):
-    """(vertices, edges) as validate takes them, for a random circuit."""
+    """(colors, edges) as validate takes them, for a random circuit."""
     n = draw(st.integers(min_value=1, max_value=max_vertices))
-    vertices: list[tuple[int, Color]] = [(0, Color.WHITE)]
+    colors: list[Color] = [Color.WHITE]
     edges: list[tuple[int, int, int]] = []
     for v in range(1, n):
         kind = draw(st.sampled_from("wbr"))
-        vertices.append((v, COLOR_BY_LETTER[kind]))
+        colors.append(COLOR_BY_LETTER[kind])
         if kind == "w":
             continue
         a = draw(st.integers(min_value=0, max_value=v - 1))
@@ -33,7 +32,7 @@ def circuit_parts(draw, max_vertices: int = 10):
         else:
             edges.append((a, v, 1))
             edges.append((b, v, 1))
-    return vertices, edges
+    return colors, edges
 
 
 def circuits(max_vertices: int = 10) -> st.SearchStrategy[Circuit]:

@@ -70,9 +70,18 @@ def test_dangling_edge_rejected():
         build("wr", (0, 1), (5, 1))
 
 
-def test_duplicate_vertex_id_rejected():
+@pytest.mark.parametrize(
+    "colors, edges, names",
+    [
+        (["white"], [], None),  # a color word, not a Color
+        ([Color.WHITE], [], ["a", "b"]),  # names for a vertex that is not there
+        ([Color.WHITE, Color.RED], [(0, 1, 2, 0)], None),  # edge of arity 4
+        ([Color.WHITE, Color.RED], [(0, 1, 0)], None),  # multiplicity 0
+    ],
+)
+def test_malformed_input_rejected(colors, edges, names):
     with pytest.raises(ValueError):
-        validate([(0, Color.WHITE), (0, Color.WHITE)], [])
+        validate(colors, edges, names)
 
 
 def test_parallel_edges_aggregate():
@@ -86,7 +95,7 @@ def test_parallel_edges_aggregate():
 def test_edges_are_derived_from_preds(parts, rnd):
     # Feed validate the edges split into single arcs where it may, in a
     # shuffled order; the derived edge lists must still aggregate them.
-    vertices, edges = parts
+    colors, edges = parts
     raw = []
     for src, dst, m in edges:
         raw += [(src, dst), (src, dst, 1)] if m == 2 and rnd.random() < 0.5 else [(src, dst, m)]
@@ -94,20 +103,17 @@ def test_edges_are_derived_from_preds(parts, rnd):
     mult = Counter()
     for e in raw:
         mult[e[:2]] += e[2] if len(e) == 3 else 1
-    c = validate(vertices, raw)
+    c = validate(colors, raw)
     assert c.edges == tuple(sorted((s, d, m) for (s, d), m in mult.items()))
-    gates = sum(1 for _, color in vertices if color is not Color.WHITE)
+    gates = sum(1 for color in colors if color is not Color.WHITE)
     assert c.edge_count == sum(mult.values()) == 2 * gates
     assert validate_dvd(c.n, [e[:2] for e in raw], 2).edges == tuple(sorted(mult))
 
 
 def test_topo_order_recomputed_from_scrambled_input():
-    # Vertices declared in reverse dependency order.
-    c = validate(
-        [(2, Color.RED), (1, Color.RED), (0, Color.WHITE)],
-        [(1, 2, 2), (0, 1, 2)],
-    )
-    assert c.topo == (0, 1, 2)
+    # Ids in reverse dependency order, edges listed sink first.
+    c = validate([Color.RED, Color.RED, Color.WHITE], [(1, 0, 2), (2, 1, 2)])
+    assert c.topo == (2, 1, 0)
 
 
 def test_levels_on_red_chain():

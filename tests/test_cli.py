@@ -114,7 +114,7 @@ def test_printed_report_matches_report_file(tmp_path, capsys):
 def test_solve_randomized_uses_the_seed(tmp_path, capsys):
     circuit = write(tmp_path, "c.txt", CHAIN)
     code = main(
-        ["solve", circuit, "--level", "3", "--randomized", "--seed", "7"]
+        ["solve", circuit, "--level", "3", "--seed", "7"]
     )
     assert code == 0
     out = capsys.readouterr().out
@@ -194,7 +194,7 @@ def test_solve_reports_are_frozen(tmp_path, capsys):
         ["--method", "exact"],
         ["--method", "after-red"],
         ["--method", "greedy"],
-        ["--randomized", "--seed", "5"],
+        ["--seed", "5"],
     ]
     digest = hashlib.sha256()
     for name, circuit in inputs.items():
@@ -247,6 +247,14 @@ def test_solve_checks_the_level_before_parsing(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error: noise budget must be an integer >= 1" in err
     assert "purple" not in err
+
+
+def test_reduce_dvd_checks_the_level_before_parsing(tmp_path, capsys):
+    bad = write(tmp_path, "bad.dvd", "node a\nbogus\n")
+    assert main(["reduce-dvd", bad, "--level", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "error: DVD level must be an integer >= 2" in err
+    assert "bogus" not in err
 
 
 def test_reduce_dvd_to_files(tmp_path):

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings
 
 from bootplan.circuit import Color
+from bootplan.dvd import reduce_to_circuit
 from bootplan.errors import CycleDetected, IndegreeViolation, ParseError
 from bootplan.formats import (
     format_circuit,
@@ -14,7 +18,7 @@ from bootplan.formats import (
     parse_dvd,
     parse_marks,
 )
-from bootplan.generate import random_circuit, random_dvd
+from bootplan.generate import layered, random_circuit, random_dvd, red_chain
 from strategies import circuits
 
 SAMPLE = """\
@@ -131,3 +135,26 @@ def test_marks_roundtrip_and_errors():
     with pytest.raises(ParseError) as info:
         parse_marks("g1\nnosuch\n", c, source="m.txt")
     assert info.value.line == 2
+
+
+def test_loaded_graphs_are_frozen():
+    # topo and preds of generated, parsed and reduced graphs must stay the
+    # same across releases.  Parsing shuffled lines gives ids that are not in
+    # topological order, with edges declared before their nodes.
+    def shuffled(text, seed):
+        lines = text.splitlines()
+        random.Random(seed).shuffle(lines)
+        return "\n".join(lines) + "\n"
+
+    graphs = [red_chain(5)]
+    for s in range(20):
+        for c in (layered(5, 6, 0.4, s), random_circuit(25, s)):
+            graphs += [c, parse_circuit(shuffled(format_circuit(c), s))]
+        d = random_dvd(9, 3, s)
+        graphs += [d, parse_dvd(shuffled(format_dvd(d), s), 3), reduce_to_circuit(d).circuit]
+    digest = hashlib.sha256()
+    for g in graphs:
+        digest.update(repr((g.topo, g.preds)).encode())
+    assert digest.hexdigest() == (
+        "06aec44ace920fa71dadd0bc5a42cde349994c786a645a9b18c422bce4b75016"
+    )

