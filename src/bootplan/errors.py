@@ -58,7 +58,8 @@ class IterationLimitExceeded(ResourceLimit):
 
 class NumericalFailure(BootplanError):
     """The master simplex found no pivot above tolerance (an unbounded
-    direction), or separation re-found a row the master already holds."""
+    direction), its solution failed the optimality certificate, or
+    separation re-found a row the master already holds."""
 
 
 class NoFeasibleCandidate(BootplanError):

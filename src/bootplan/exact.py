@@ -36,9 +36,11 @@ def _smallest_feasible(
 ) -> ExactResult | None:
     """First feasible subset of `pool` in (size, lexicographic) order.
 
-    Raises TooLarge when the subsets of size <= budget outnumber max_subsets;
-    returns None when none of them is feasible.
+    Raises TooLarge when the subsets of size <= budget outnumber max_subsets,
+    and ValueError when max_subsets < 1; returns None when none is feasible.
     """
+    if max_subsets < 1:
+        raise ValueError(f"subset cap must be >= 1, got {max_subsets}")
     n = len(pool)
     top = n if budget is None else min(budget, n)
     space = 1 << n if top == n else sum(math.comb(n, k) for k in range(top + 1))

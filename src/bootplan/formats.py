@@ -10,6 +10,11 @@ Mark files are whitespace-separated vertex names.  '#' starts a comment in
 all three formats; the noise budget L never appears in a file, it always
 arrives out of band.  Vertex ids are assigned in declaration order, so
 formatting then parsing reproduces the same object.
+
+Graph files are read in two passes, so no edge line is kept: the first reads
+node lines, skips edge lines (an edge may name a later node) and rejects
+unknown directives; the second checks each edge line and streams it into
+validate or validate_dvd.  So node-line and directive errors come first.
 """
 
 from __future__ import annotations
@@ -28,11 +33,32 @@ def _lines(text: str):
             yield lineno, line.split()
 
 
+def _edges(text: str, ids: dict[str, int], usage: str, source: str):
+    """Second pass: (src, dst, multiplicity) per edge line, checked against
+    the declared `ids` and against `usage`, whose token count caps the line's."""
+    most = len(usage.split())
+    for lineno, tokens in _lines(text):
+        if tokens[0] != "edge":
+            continue
+        if not 3 <= len(tokens) <= most:
+            raise ParseError(f"expected: {usage}", source, lineno)
+        for name in tokens[1:3]:
+            if name not in ids:
+                raise ParseError(f"edge references undeclared node {name!r}", source, lineno)
+        mult = 1
+        if len(tokens) == 4:
+            try:
+                mult = int(tokens[3])
+            except ValueError:
+                mult = 0
+            if mult < 1:
+                raise ParseError(f"bad multiplicity {tokens[3]!r}", source, lineno)
+        yield ids[tokens[1]], ids[tokens[2]], mult
+
+
 def parse_circuit(text: str, source: str = "<circuit>") -> Circuit:
-    names: list[str] = []
-    ids: dict[str, int] = {}
+    ids: dict[str, int] = {}  # in declaration order, so its keys are the names
     colors: list[Color] = []
-    edge_lines: list[tuple[int, list[str]]] = []
     for lineno, tokens in _lines(text):
         if tokens[0] == "node":
             if len(tokens) != 3:
@@ -42,32 +68,12 @@ def parse_circuit(text: str, source: str = "<circuit>") -> Circuit:
                 raise ParseError(f"duplicate node name {name!r}", source, lineno)
             if colorword not in _COLORS:
                 raise ParseError(f"unknown color {colorword!r}", source, lineno)
-            ids[name] = len(names)
-            names.append(name)
+            ids[name] = len(ids)
             colors.append(_COLORS[colorword])
-        elif tokens[0] == "edge":
-            edge_lines.append((lineno, tokens))
-        else:
+        elif tokens[0] != "edge":
             raise ParseError(f"unknown directive {tokens[0]!r}", source, lineno)
-
-    def edges():
-        for lineno, tokens in edge_lines:
-            if len(tokens) not in (3, 4):
-                raise ParseError("expected: edge <src> <dst> [multiplicity]", source, lineno)
-            for name in tokens[1:3]:
-                if name not in ids:
-                    raise ParseError(f"edge references undeclared node {name!r}", source, lineno)
-            mult = 1
-            if len(tokens) == 4:
-                try:
-                    mult = int(tokens[3])
-                except ValueError:
-                    mult = 0
-                if mult < 1:
-                    raise ParseError(f"bad multiplicity {tokens[3]!r}", source, lineno)
-            yield ids[tokens[1]], ids[tokens[2]], mult
-
-    return validate(colors, edges(), names=names)
+    edges = _edges(text, ids, "edge <src> <dst> [multiplicity]", source)
+    return validate(colors, edges, names=ids)
 
 
 def format_circuit(circuit: Circuit) -> str:
@@ -83,9 +89,7 @@ def format_circuit(circuit: Circuit) -> str:
 
 
 def parse_dvd(text: str, level: int, source: str = "<dvd>") -> DvdInstance:
-    names: list[str] = []
-    ids: dict[str, int] = {}
-    edge_lines: list[tuple[int, list[str]]] = []
+    ids: dict[str, int] = {}  # in declaration order, so its keys are the names
     for lineno, tokens in _lines(text):
         if tokens[0] == "node":
             if len(tokens) != 2:
@@ -93,23 +97,11 @@ def parse_dvd(text: str, level: int, source: str = "<dvd>") -> DvdInstance:
             name = tokens[1]
             if name in ids:
                 raise ParseError(f"duplicate node name {name!r}", source, lineno)
-            ids[name] = len(names)
-            names.append(name)
-        elif tokens[0] == "edge":
-            edge_lines.append((lineno, tokens))
-        else:
+            ids[name] = len(ids)
+        elif tokens[0] != "edge":
             raise ParseError(f"unknown directive {tokens[0]!r}", source, lineno)
-
-    def edges():
-        for lineno, tokens in edge_lines:
-            if len(tokens) != 3:
-                raise ParseError("expected: edge <src> <dst>", source, lineno)
-            for name in tokens[1:3]:
-                if name not in ids:
-                    raise ParseError(f"edge references undeclared node {name!r}", source, lineno)
-            yield ids[tokens[1]], ids[tokens[2]]
-
-    return validate_dvd(len(names), edges(), level, names=names)
+    edges = _edges(text, ids, "edge <src> <dst>", source)
+    return validate_dvd(len(ids), ((u, v) for u, v, _ in edges), level, names=ids)
 
 
 def format_dvd(instance: DvdInstance) -> str:

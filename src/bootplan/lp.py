@@ -17,11 +17,14 @@ LP is feasible, so no phase 1 is needed, and the covering weights come back
 as its dual prices.  The bounds x <= 1 are left out: a 0/1 covering LP has
 no optimum with a weight above 1, so they never bind.  Variables outside
 every row are never entered into the master; they are 0 at any optimum.
+Each master solution is certified before use: the packing solution z and
+the covering weights x must both be feasible within CERT_TOL and have equal
+objectives, which by weak duality makes both optimal.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence, Set
+from collections.abc import Collection, Set
 from dataclasses import dataclass, field
 from typing import TextIO
 
@@ -33,6 +36,7 @@ from .paths import VIOLATION_TOL, LevelTables, backtrack_interesting_path, level
 
 PIVOT_TOL = 1e-12
 _REDCOST_TOL = 1e-9
+CERT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -46,13 +50,13 @@ class LpResult:
     tables: LevelTables = field(repr=False, compare=False)
 
 
-def _solve_covering_lp(a: np.ndarray) -> tuple[np.ndarray, float]:
+def _solve_covering_lp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """min 1'x  s.t.  A x >= 1,  x >= 0, for a dense 0/1 matrix A.
 
     Primal simplex on the packing dual  max 1'z  s.t.  A'z <= 1,  z >= 0,
     i.e. the tableau [A' | I | 1] started from its feasible slack basis.
     At the optimum x is the dual price of each packing row, which is minus
-    the reduced cost of that row's slack.
+    the reduced cost of that row's slack.  Returns (x, z).
     """
     m, k = a.shape
     tableau = np.hstack([a.T, np.eye(k), np.ones((k, 1))])
@@ -84,15 +88,18 @@ def _solve_covering_lp(a: np.ndarray) -> tuple[np.ndarray, float]:
     else:
         raise IterationLimitExceeded("simplex iteration limit hit")
 
-    x = np.clip(-reduced[m:-1], 0.0, 1.0)
-    return x, float(x.sum())
+    z = np.zeros(m)
+    packed = basis < m
+    z[basis[packed]] = tableau[packed, -1]
+    return np.clip(-reduced[m:-1], 0.0, 1.0), z
 
 
-def solve_restricted_master(n: int, rows: Sequence[Set[int]]) -> tuple[list[float], float]:
+def solve_restricted_master(n: int, rows: Collection[Set[int]]) -> tuple[list[float], float]:
     """Optimal fractional weights for the current row set.
 
     Returns a full-length weight vector (vertices outside every row get 0)
-    and the objective, which equals the weight sum.
+    and the objective, which equals the weight sum.  Raises NumericalFailure
+    when the simplex result fails its optimality certificate.
     """
     if not rows:
         return [0.0] * n, 0.0
@@ -111,7 +118,12 @@ def solve_restricted_master(n: int, rows: Sequence[Set[int]]) -> tuple[list[floa
     for i, r in enumerate(row_sets):
         for v in r:
             a[i, col[v]] = 1.0
-    y, objective = _solve_covering_lp(a)
+    y, z = _solve_covering_lp(a)
+    objective = float(y.sum())
+    # z >= 0, A'z <= 1, A x >= 1 and 1'z = 1'x, each within CERT_TOL (NaN fails).
+    residuals = (-z.min(), (a.T @ z).max() - 1, 1 - (a @ y).min(), abs(z.sum() - objective))
+    if not all(r <= CERT_TOL for r in residuals):
+        raise NumericalFailure(f"master failed its optimality certificate by {max(residuals):.1e}")
     weights = [0.0] * n
     for v, i in col.items():
         weights[v] = float(y[i])
@@ -137,8 +149,7 @@ def solve_relaxation(
     n = circuit.n
     if max_iterations is None:
         max_iterations = max(1, 10 * n * level)
-    rows: list[frozenset[int]] = []
-    seen: set[frozenset[int]] = set()
+    rows: dict[frozenset[int], None] = {}  # insertion-ordered set
     for iteration in range(1, max_iterations + 1):
         weights, objective = solve_restricted_master(n, rows)
         tables = level_lengths(circuit, level, weights)
@@ -148,9 +159,8 @@ def solve_relaxation(
             if final_row[v] < 1.0 - VIOLATION_TOL:
                 violated += 1
                 row = frozenset(backtrack_interesting_path(tables, v)[:-1])
-                if row not in seen:
-                    seen.add(row)
-                    rows.append(row)
+                if row not in rows:
+                    rows[row] = None
                     added += 1
         if trace is not None:
             trace.write(f"{iteration}\t{objective:.9f}\t{added}\n")

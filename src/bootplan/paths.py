@@ -14,6 +14,11 @@ sweep over the topological order: a Red entry is 0 at level 1 and otherwise
 extends a level-(i-1) entry across one edge, a Blue entry extends a level-i
 entry of a predecessor, and White entries stay +inf.  Blue predecessors come
 earlier in the order, so chained Blue values are final before use.
+
+The table keeps only the minima.  Backtracking steps from an entry to the
+lowest-id predecessor u whose lengths[i'][u] + x[u] equals it (i' = i - 1
+when leaving a Red vertex): the sweep's own expression, so exact float
+equality finds the predecessor its strict < kept.
 """
 
 from __future__ import annotations
@@ -32,18 +37,16 @@ VIOLATION_TOL = 1e-7
 
 @dataclass(frozen=True, eq=False)
 class LevelTables:
-    """Per-level minimum path lengths plus backtracking parents.
+    """Per-level minimum path lengths.
 
-    lengths[i][v] for i in 1..budget+1 (index 0 unused); parents[i][v] is the
-    chosen predecessor vertex, -1 at a path start or where no path exists.
-    weights is the x vector the table was computed against.
+    lengths[i][v] for i in 1..budget+1 (index 0 unused); weights is the x
+    vector the table was computed against.
     """
 
     circuit: Circuit
     budget: int
     weights: list[float]
     lengths: list[list[float]]
-    parents: list[list[int]]
 
     @cached_property
     def intervals(self) -> tuple[np.ndarray, np.ndarray]:
@@ -53,11 +56,7 @@ class LevelTables:
 
 
 def level_lengths(circuit: Circuit, level: int, weights: Sequence[float]) -> LevelTables:
-    """Fill the length table for levels 1..level+1 under the given weights.
-
-    Ties between predecessor choices break toward the lowest vertex id, which
-    keeps extracted paths deterministic.
-    """
+    """Fill the length table for levels 1..level+1 under the given weights."""
     require_level(level)
     n = circuit.n
     if len(weights) != n:
@@ -69,11 +68,9 @@ def level_lengths(circuit: Circuit, level: int, weights: Sequence[float]) -> Lev
     inf = math.inf
 
     lengths = [[inf] * n for _ in range(level + 2)]
-    parents = [[-1] * n for _ in range(level + 2)]
 
     for i in range(1, level + 2):
         row = lengths[i]
-        par = parents[i]
         prev = lengths[i - 1]
         for v in topo:
             color = colors[v]
@@ -86,36 +83,40 @@ def level_lengths(circuit: Circuit, level: int, weights: Sequence[float]) -> Lev
                 src = prev
             else:
                 src = row
+            # An explicit loop: min() over a generator is about twice as slow.
             best = inf
-            best_u = -1
             for u in preds[v]:
                 cand = src[u] + x[u]
                 if cand < best:
                     best = cand
-                    best_u = u
             row[v] = best
-            par[v] = best_u
 
-    return LevelTables(circuit, level, x, lengths, parents)
+    return LevelTables(circuit, level, x, lengths)
 
 
 def backtrack_interesting_path(tables: LevelTables, final: int) -> tuple[int, ...]:
     """Reconstruct the minimum-length interesting path ending at a Red final.
 
-    Requires lengths[budget+1][final] to be finite.
+    Requires lengths[budget+1][final] to be finite.  Among predecessors that
+    attain an entry, the lowest id is taken.
     """
-    circuit = tables.circuit
+    colors, preds = tables.circuit.colors, tables.circuit.preds
+    lengths, x = tables.lengths, tables.weights
     i = tables.budget + 1
-    if not math.isfinite(tables.lengths[i][final]):
+    if not math.isfinite(lengths[i][final]):
         raise ValueError(f"no interesting path ends at vertex {final}")
     v = final
     rev = [v]
-    while not (i == 1 and circuit.colors[v] is Color.RED):
-        u = tables.parents[i][v]
-        if u < 0:
-            raise AssertionError("broken parent chain in level table")
-        if circuit.colors[v] is Color.RED:
+    while not (i == 1 and colors[v] is Color.RED):
+        target = lengths[i][v]
+        if colors[v] is Color.RED:
             i -= 1
+        src = lengths[i]
+        for u in preds[v]:
+            if src[u] + x[u] == target:
+                break
+        else:
+            raise AssertionError("no predecessor attains a level-table entry")
         v = u
         rev.append(v)
     rev.reverse()

@@ -241,6 +241,26 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert err.count("error:") == 3
 
 
+def test_out_of_range_numbers_exit_2(tmp_path, capsys):
+    circuit = write(tmp_path, "c.txt", CHAIN)
+    report = tmp_path / "r.tsv"
+    runs = [
+        (["solve", circuit, "--level", "2", "--method", "greedy", "--seed", "3",
+          "--out", str(report)], "does not round"),
+        (["solve", circuit, "--level", "1", "--method", "exact",
+          "--max-exact-subsets", "-1", "--out", str(report)], "subset cap must be >= 1"),
+        (["gen", "--kind", "layered", "--red-fraction", "7",
+          "--out", str(tmp_path / "g.txt")], "red_fraction must be in [0, 1]"),
+    ]
+    for argv, message in runs:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.out == ""
+    assert not report.exists()
+    assert not (tmp_path / "g.txt").exists()
+
+
 def test_solve_checks_the_level_before_parsing(tmp_path, capsys):
     bad = write(tmp_path, "bad.txt", "node a purple\n")
     assert main(["solve", bad, "--level", "0"]) == 2

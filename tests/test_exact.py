@@ -57,6 +57,14 @@ def test_subset_cap_raises_too_large():
         exact_bootstrap(red_chain4(), 1, max_subsets=10)
 
 
+@pytest.mark.parametrize("cap", [0, -1])
+def test_subset_cap_below_one_rejected(cap):
+    with pytest.raises(ValueError, match="subset cap must be >= 1"):
+        exact_bootstrap(red_chain4(), 1, max_subsets=cap)
+    with pytest.raises(ValueError, match="subset cap must be >= 1"):
+        exact_dvd(validate_dvd(2, [(0, 1)], 2), max_subsets=cap)
+
+
 def test_budget_shrinks_space_below_cap():
     # 1 + C(4,1) = 5 subsets fit under the same cap that just failed.
     result = exact_bootstrap(red_chain4(), 3, budget=1, max_subsets=10)

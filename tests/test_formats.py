@@ -78,6 +78,11 @@ def test_roundtrip_random_named_circuit():
         ("node a white\nnode b red\nedge a b 0\n", 3),
         ("node a white\nnode b red\nedge a b two\n", 3),
         ("node a white\nedge a ghost\n", 2),
+        # Node lines and directives are read before any edge line is checked,
+        # so a later bad node or directive line is the one reported.
+        ("node a white\nedge a\nnode a red\n", 3),
+        ("edge a ghost\nnode a white\nbogus\n", 3),
+        ("node a white\nnode b red\nedge a b two\nnode c mauve\n", 4),
     ],
 )
 def test_circuit_parse_errors_carry_line_numbers(text, line):
@@ -118,10 +123,19 @@ def test_parse_dvd_duplicate_edges_collapse():
 
 
 def test_parse_dvd_errors():
-    with pytest.raises(ParseError):
-        parse_dvd("node a b\n", level=2)
-    with pytest.raises(ParseError):
-        parse_dvd("edge a b\n", level=2)
+    for text, line in [
+        ("node a b\n", 1),
+        ("edge a b\n", 1),
+        ("node a\nnode a\n", 2),
+        ("node a\nnode b\nedge a b 2\n", 3),
+        ("node a\nedge a ghost\n", 2),
+        ("node a\nedge a\nbogus\n", 3),
+        ("edge a ghost\nnode a\nnode a\n", 3),
+    ]:
+        with pytest.raises(ParseError) as info:
+            parse_dvd(text, level=2, source="bad.dvd")
+        assert info.value.line == line
+        assert str(info.value).startswith(f"bad.dvd:{line}: ")
     with pytest.raises(ValueError):
         parse_dvd("node a\n", level=1)
 

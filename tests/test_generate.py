@@ -97,6 +97,20 @@ def test_random_dvd_edges_are_forward():
     assert inst.level == 3
 
 
+@pytest.mark.parametrize("bad", [-0.1, 1.5, 7.0, float("nan")])
+def test_fractions_outside_unit_interval_rejected(bad):
+    calls = [
+        (lambda: layered(3, 3, bad, 0), "red_fraction"),
+        (lambda: series_parallel(10, bad, 0), "red_fraction"),
+        (lambda: random_circuit(5, 0, white_fraction=bad), "white_fraction"),
+        (lambda: random_circuit(5, 0, red_fraction=bad), "red_fraction"),
+        (lambda: random_dvd(5, 2, 0, edge_probability=bad), "edge_probability"),
+    ]
+    for call, name in calls:
+        with pytest.raises(ValueError, match=f"{name} must be in \\[0, 1\\]"):
+            call()
+
+
 def test_series_parallel_honours_size():
     # Blocks are joined in series until `size` is reached; the overshoot is
     # what the recursion still owes when it gets there.

@@ -6,6 +6,7 @@ import io
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from scipy.optimize import linprog
@@ -80,6 +81,23 @@ def test_simplex_iteration_cap_raises(monkeypatch):
     monkeypatch.setattr(lp, "_REDCOST_TOL", -1.0)
     with pytest.raises(IterationLimitExceeded):
         solve_restricted_master(3, [frozenset({0, 2})])
+
+
+def test_master_returns_its_packing_certificate():
+    # An odd cycle of pairs: x = z = 1/2 everywhere, objective 3/2.
+    a = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]])
+    x, z = lp._solve_covering_lp(a)
+    assert x == pytest.approx([0.5] * 3, abs=1e-12)
+    assert z == pytest.approx([0.5] * 3, abs=1e-12)
+
+
+def test_uncertified_master_raises(monkeypatch):
+    # Declaring optimality while reduced costs up to 0.9 remain leaves this
+    # master with a covering row below 1, which the certificate rejects.
+    monkeypatch.setattr(lp, "_REDCOST_TOL", 0.9)
+    rows = [frozenset(r) for r in ({0, 1}, {0, 2}, {0, 3}, {1, 2})]
+    with pytest.raises(NumericalFailure, match="certificate"):
+        solve_restricted_master(4, rows)
 
 
 def test_empty_row_rejected():
@@ -202,7 +220,6 @@ def test_relaxation_returns_the_table_it_certified():
         assert result.tables.budget == level
         assert result.tables.weights == rebuilt.weights
         assert result.tables.lengths == rebuilt.lengths
-        assert result.tables.parents == rebuilt.parents
 
 
 def test_relaxation_lower_bounds_every_feasible_set():

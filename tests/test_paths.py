@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
+import random
 
 import pytest
 from hypothesis import example, given, settings
 
 import oracles
 from bootplan.circuit import Color
+from bootplan.generate import layered, random_circuit, series_parallel
 from bootplan.paths import backtrack_interesting_path, level_lengths
 from strategies import build, marked_circuits, weighted_circuits
 
@@ -97,7 +100,7 @@ def test_blue_distances_red_interior_blocks():
     c = build("wrrb", (0, 1, 2), (1, 2, 2), (2, 3, 2))
     t = level_lengths(c, 2, [0.0, 0.5, 0.5, 0.0])
     assert t.lengths[1][3] == 0.5
-    assert t.parents[1][3] == 2
+    assert t.lengths[1][2] + t.weights[2] == t.lengths[1][3]  # entered from r
     assert t.lengths[2][3] == 1.0
 
 
@@ -205,6 +208,32 @@ def test_backtrack_reconstructs_minimum_path():
     x = [0.0, 0.3, 0.2, 0.1, 0.0]
     t = level_lengths(c, 3, x)
     assert backtrack_interesting_path(t, 4) == (1, 2, 3, 4)
+
+
+def test_backtrack_raises_when_no_predecessor_attains_an_entry():
+    c = red_chain(4)
+    t = level_lengths(c, 3, [0.0, 0.3, 0.2, 0.1, 0.0])
+    t.lengths[4][4] = 0.25  # tamper: no predecessor sums to this
+    with pytest.raises(AssertionError):
+        backtrack_interesting_path(t, 4)
+
+
+def test_backtracked_paths_under_ties_are_frozen():
+    # Weights on a 0.01 grid below 0.03 make equal-length predecessor choices
+    # common (348 tied entries over these cases); the path taken among them
+    # must stay the same across releases.
+    rng = random.Random(5)
+    digest = hashlib.sha256()
+    for s in range(20):
+        for c in (layered(5, 6, 0.5, s), random_circuit(25, s), series_parallel(30, 0.5, s)):
+            for level in (1, 2, 3):
+                t = level_lengths(c, level, [round(rng.uniform(0, 0.03), 2) for _ in range(c.n)])
+                for v in c.red_vertices:
+                    if math.isfinite(t.lengths[level + 1][v]):
+                        digest.update(repr(backtrack_interesting_path(t, v)).encode())
+    assert digest.hexdigest() == (
+        "0c7a3393a9e4434c88a56cc94c32f588cb86c918d9dc37f716f3e4b4bdc4f1f3"
+    )
 
 
 @PROPERTY

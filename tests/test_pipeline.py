@@ -64,6 +64,12 @@ def test_seeded_randomized_plan_is_repeatable():
     assert first.verified
 
 
+@pytest.mark.parametrize("method", ["exact", "after-red", "greedy"])
+def test_seed_without_rounding_raises(method):
+    with pytest.raises(ValueError, match="does not round"):
+        plan(red_chain(3), 1, method, seed=3)
+
+
 def test_unknown_method_raises():
     with pytest.raises(ValueError, match="unknown method 'simplex'"):
         plan(red_chain(3), 1, "simplex")
