@@ -154,6 +154,8 @@ def cmd_reduce_dvd(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    # Checked for every kind, so a bad value never passes because one ignores it.
+    generate.require_fraction("red_fraction", args.red_fraction)
     if args.kind == "red-chain":
         circuit = generate.red_chain(args.length)
     elif args.kind == "layered":

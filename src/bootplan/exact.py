@@ -28,6 +28,12 @@ class ExactResult:
     explored: int
 
 
+def require_subset_cap(max_subsets: int) -> None:
+    """Raise ValueError unless the subset cap admits at least one subset."""
+    if max_subsets < 1:
+        raise ValueError(f"subset cap must be >= 1, got {max_subsets}")
+
+
 def _smallest_feasible(
     pool: Sequence[int],
     feasible: Callable[[frozenset[int]], bool],
@@ -39,8 +45,7 @@ def _smallest_feasible(
     Raises TooLarge when the subsets of size <= budget outnumber max_subsets,
     and ValueError when max_subsets < 1; returns None when none is feasible.
     """
-    if max_subsets < 1:
-        raise ValueError(f"subset cap must be >= 1, got {max_subsets}")
+    require_subset_cap(max_subsets)
     n = len(pool)
     top = n if budget is None else min(budget, n)
     space = 1 << n if top == n else sum(math.comb(n, k) for k in range(top + 1))

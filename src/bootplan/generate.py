@@ -15,7 +15,7 @@ from .circuit import Circuit, Color, validate
 from .dvd import DvdInstance, validate_dvd
 
 
-def _require_fraction(name: str, value: float) -> None:
+def require_fraction(name: str, value: float) -> None:
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must be in [0, 1], got {value!r}")
 
@@ -46,7 +46,7 @@ def layered(
     vertex draws its two predecessors uniformly from the previous row."""
     if layers < 1 or width < 1:
         raise ValueError("layers and width must be >= 1")
-    _require_fraction("red_fraction", red_fraction)
+    require_fraction("red_fraction", red_fraction)
     rng = _rng(seed)
     colors: list[Color] = []
     edges: list[tuple[int, int, int]] = []
@@ -71,7 +71,7 @@ def series_parallel(size: int, red_fraction: float, seed: int | random.Random) -
     single in-edges, and source vertices are White."""
     if size < 2:
         raise ValueError("size must be >= 2")
-    _require_fraction("red_fraction", red_fraction)
+    require_fraction("red_fraction", red_fraction)
     rng = _rng(seed)
     edges: list[list[int]] = []  # [src, dst], multiplicity fixed later
     node_count = 0
@@ -132,8 +132,8 @@ def random_circuit(
     among earlier vertices and is Red with probability `red_fraction`."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    _require_fraction("white_fraction", white_fraction)
-    _require_fraction("red_fraction", red_fraction)
+    require_fraction("white_fraction", white_fraction)
+    require_fraction("red_fraction", red_fraction)
     rng = _rng(seed)
     colors: list[Color] = []
     edges: list[tuple[int, int, int]] = []
@@ -154,7 +154,7 @@ def random_dvd(
     edge_probability: float = 0.3,
 ) -> DvdInstance:
     """Random DAG on 0..n-1 with forward edges drawn independently."""
-    _require_fraction("edge_probability", edge_probability)
+    require_fraction("edge_probability", edge_probability)
     rng = _rng(seed)
     edges = [
         (u, v)

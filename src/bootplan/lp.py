@@ -12,14 +12,30 @@ relaxation because the same table that would expose a violation comes back
 clean; that table is returned with them, and rounding reads it.
 
 The master is solved through its LP dual, a packing LP, by a dense primal
-simplex with Bland's anti-cycling rule.  The all-slack basis of the packing
-LP is feasible, so no phase 1 is needed, and the covering weights come back
-as its dual prices.  The bounds x <= 1 are left out: a 0/1 covering LP has
-no optimum with a weight above 1, so they never bind.  Variables outside
-every row are never entered into the master; they are 0 at any optimum.
+simplex, and the covering weights come back as its dual prices.  The
+bounds x <= 1 are left out: a 0/1 covering LP has no optimum with a weight
+above 1, so they never bind.  Variables outside every row are never entered
+into the master; they are 0 at any optimum.
+
+Row generation only appends to the packing LP: a new covering row is a new
+packing column, entering at z = 0 with its violation as reduced cost, and a
+vertex new to the master is a new packing row whose slack is basic at 1.  So
+the last master's basis stays feasible, and each round starts from it
+(warm start) rather than from the all-slack basis, which only the first
+master uses; no phase 1 is needed.  The tableau B^-1 [A' | I | 1] is built
+from the basis on entry and rebuilt the same way every REFACTOR_EVERY
+pivots, which drops the rounding error pivots accumulate.  Pricing is
+Dantzig's rule (largest reduced cost, smallest index on ties); after
+BLAND_AFTER degenerate pivots in a row, Bland's smallest-index rule prices
+until the next nondegenerate pivot, so degenerate stretches cannot cycle.
+The ratio test reads negative right-hand sides as 0 and ratios within
+_TIE_TOL of the least as ties, which the smallest basic index leaves, so
+rounding noise cannot break Bland's rule.
 Each master solution is certified before use: the packing solution z and
 the covering weights x must both be feasible within CERT_TOL and have equal
-objectives, which by weak duality makes both optimal.
+objectives, which by weak duality makes both optimal.  A solution that
+fails is refactored from its final basis and pivoted on once more; failing
+again raises NumericalFailure.
 """
 
 from __future__ import annotations
@@ -34,9 +50,12 @@ from .circuit import Circuit, require_level
 from .errors import IterationLimitExceeded, NumericalFailure
 from .paths import VIOLATION_TOL, LevelTables, backtrack_interesting_path, level_lengths
 
-PIVOT_TOL = 1e-12
+PIVOT_TOL = 1e-9
 _REDCOST_TOL = 1e-9
+_TIE_TOL = 1e-12
 CERT_TOL = 1e-9
+REFACTOR_EVERY = 100  # pivots between rebuilds of the tableau from its basis
+BLAND_AFTER = 50  # consecutive degenerate pivots before Bland's rule prices
 
 
 @dataclass(frozen=True)
@@ -50,36 +69,55 @@ class LpResult:
     tables: LevelTables = field(repr=False, compare=False)
 
 
-def _solve_covering_lp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _solve_covering_lp(
+    a: np.ndarray, basis: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """min 1'x  s.t.  A x >= 1,  x >= 0, for a dense 0/1 matrix A.
 
     Primal simplex on the packing dual  max 1'z  s.t.  A'z <= 1,  z >= 0,
-    i.e. the tableau [A' | I | 1] started from its feasible slack basis.
-    At the optimum x is the dual price of each packing row, which is minus
-    the reduced cost of that row's slack.  Returns (x, z).
+    over the columns of [A' | I] (z, then one slack per packing row).
+    `basis` holds the basic column of each packing row and must be primal
+    feasible; None starts from the slack basis.  At the optimum x is the dual
+    price of each packing row, which is minus the reduced cost of that row's
+    slack.  Returns (x, z, final basis).
     """
     m, k = a.shape
-    tableau = np.hstack([a.T, np.eye(k), np.ones((k, 1))])
-    # Reduced costs of z and the slacks (the last entry, under the right-hand
-    # side, is minus the objective); every pivot updates this row like one
-    # more tableau row.
-    reduced = np.concatenate([np.ones(m), np.zeros(k + 1)])
-    basis = np.arange(m, m + k)
+    full = np.hstack([a.T, np.eye(k), np.ones((k, 1))])
+    cost = np.concatenate([np.ones(m), np.zeros(k + 1)])
+    basis = np.arange(m, m + k) if basis is None else np.array(basis)
     limit = 200 * (2 * m + k) + 1000
-    for _ in range(limit):
-        candidates = np.flatnonzero(reduced[:-1] > _REDCOST_TOL)
-        if candidates.size == 0:
+    degenerate = 0  # consecutive pivots with a step of at most PIVOT_TOL
+    for pivots in range(limit):
+        if pivots % REFACTOR_EVERY == 0:
+            # Rebuild B^-1 [A' | I | 1] from the basis, dropping the rounding
+            # error the pivots accumulated.  The reduced costs (the last entry,
+            # under the right-hand side, is minus the objective) are updated
+            # by every pivot like one more tableau row.
+            try:
+                tableau = np.linalg.solve(full[:, basis], full)
+            except np.linalg.LinAlgError:
+                raise NumericalFailure("singular simplex basis") from None
+            reduced = cost - cost[basis] @ tableau
+        if degenerate < BLAND_AFTER:
+            j = int(np.argmax(reduced[:-1]))  # Dantzig: largest, then smallest index
+        else:
+            j = int(np.argmax(reduced[:-1] > _REDCOST_TOL))  # Bland: smallest index
+        if reduced[j] <= _REDCOST_TOL:
             break
-        j = int(candidates[0])  # Bland: smallest index enters
         col = tableau[:, j].copy()
         # Only entries above PIVOT_TOL may pivot; without one the direction
         # is unbounded, which a packing LP over nonempty rows never is.
         rows = np.flatnonzero(col > PIVOT_TOL)
         if rows.size == 0:
             raise NumericalFailure("no pivot above tolerance: unbounded direction")
-        ratios = tableau[rows, -1] / col[rows]
-        ties = rows[ratios <= ratios.min()]
-        r = int(ties[np.argmin(basis[ties])])  # Bland: smallest leaving index
+        # Negative right-hand sides count as 0 and near-equal ratios tie;
+        # otherwise rounding noise, not the index, picks the leaving row of
+        # a degenerate step, and Bland's rule can stall past the cap.
+        ratios = np.maximum(tableau[rows, -1], 0.0) / col[rows]
+        step = ratios.min()
+        ties = rows[ratios <= step + _TIE_TOL]
+        r = int(ties[np.argmin(basis[ties])])  # smallest leaving index
+        degenerate = degenerate + 1 if step <= PIVOT_TOL else 0
         pivot_row = tableau[r] / col[r]
         tableau -= np.outer(col, pivot_row)
         tableau[r] = pivot_row
@@ -91,15 +129,24 @@ def _solve_covering_lp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     z = np.zeros(m)
     packed = basis < m
     z[basis[packed]] = tableau[packed, -1]
-    return np.clip(-reduced[m:-1], 0.0, 1.0), z
+    return np.clip(-reduced[m:-1], 0.0, 1.0), z, basis
 
 
-def solve_restricted_master(n: int, rows: Collection[Set[int]]) -> tuple[list[float], float]:
+def solve_restricted_master(
+    n: int, rows: Collection[Set[int]], basis: dict[int, int] | None = None
+) -> tuple[list[float], float]:
     """Optimal fractional weights for the current row set.
 
     Returns a full-length weight vector (vertices outside every row get 0)
-    and the objective, which equals the weight sum.  Raises NumericalFailure
-    when the simplex result fails its optimality certificate.
+    and the objective, which equals the weight sum.  `basis`, when given,
+    maps each vertex of an earlier master, whose rows were a prefix of
+    `rows`, to its packing row's basic column: a row's index in `rows`, or ~v
+    for the slack of vertex v.  The solve starts from it, with the slack of
+    every vertex new to the master basic, and writes the final basis back
+    into it; a basis naming a column outside this master raises ValueError,
+    a singular one NumericalFailure.  Raises NumericalFailure when the
+    simplex result fails its optimality certificate twice: once as solved,
+    once more after refactoring from its final basis and pivoting on.
     """
     if not rows:
         return [0.0] * n, 0.0
@@ -110,20 +157,33 @@ def solve_restricted_master(n: int, rows: Collection[Set[int]]) -> tuple[list[fl
         for v in r:
             if not 0 <= v < n:
                 raise ValueError(f"row references vertex {v} outside 0..{n - 1}")
-    # Bland's rule is valid under any fixed column order; descending ids send
-    # ties between optimal weight vectors to the later vertex.
+    # Pricing breaks ties by column order; descending ids send ties between
+    # optimal weight vectors to the later vertex.
     active = sorted(set().union(*row_sets), reverse=True)
     col = {v: i for i, v in enumerate(active)}
-    a = np.zeros((len(row_sets), len(active)))
+    m = len(row_sets)
+    a = np.zeros((m, len(active)))
     for i, r in enumerate(row_sets):
         for v in r:
             a[i, col[v]] = 1.0
-    y, z = _solve_covering_lp(a)
-    objective = float(y.sum())
-    # z >= 0, A'z <= 1, A x >= 1 and 1'z = 1'x, each within CERT_TOL (NaN fails).
-    residuals = (-z.min(), (a.T @ z).max() - 1, 1 - (a @ y).min(), abs(z.sum() - objective))
-    if not all(r <= CERT_TOL for r in residuals):
+    # Old rows keep their basic columns and a new vertex its slack, at 1; new
+    # rows enter as nonbasic packing columns at 0, so this basis is feasible.
+    start = basis or {}
+    labels = [start.get(v, ~v) for v in active]
+    if any(c >= m or (c < 0 and ~c not in col) for c in labels):
+        raise ValueError("basis names a column outside this master")
+    columns = np.array([c if c >= 0 else m + col[~c] for c in labels], dtype=np.intp)
+    for _ in range(2):
+        y, z, columns = _solve_covering_lp(a, columns)
+        objective = float(y.sum())
+        # z >= 0, A'z <= 1, A x >= 1 and 1'z = 1'x, each within CERT_TOL (NaN fails).
+        residuals = (-z.min(), (a.T @ z).max() - 1, 1 - (a @ y).min(), abs(z.sum() - objective))
+        if all(r <= CERT_TOL for r in residuals):
+            break
+    else:
         raise NumericalFailure(f"master failed its optimality certificate by {max(residuals):.1e}")
+    if basis is not None:
+        basis.update((v, int(c) if c < m else ~active[c - m]) for v, c in zip(active, columns))
     weights = [0.0] * n
     for v, i in col.items():
         weights[v] = float(y[i])
@@ -150,8 +210,9 @@ def solve_relaxation(
     if max_iterations is None:
         max_iterations = max(1, 10 * n * level)
     rows: dict[frozenset[int], None] = {}  # insertion-ordered set
+    basis: dict[int, int] = {}  # the last master's, carried into the next
     for iteration in range(1, max_iterations + 1):
-        weights, objective = solve_restricted_master(n, rows)
+        weights, objective = solve_restricted_master(n, rows, basis)
         tables = level_lengths(circuit, level, weights)
         final_row = tables.lengths[level + 1]
         violated = added = 0

@@ -42,9 +42,11 @@ def plan(
 
     seed=None rounds by the derandomized scan; an int rounds once, at a
     uniform threshold drawn with that seed.  trace receives the relaxation's
-    per-round lines.  Raises ValueError for an unknown method, and for a seed
-    with a method that does not round.
+    per-round lines.  Raises ValueError for an unknown method, for a seed
+    with a method that does not round, and for max_subsets < 1 whatever the
+    method, all before solving.
     """
+    exact.require_subset_cap(max_subsets)
     if seed is not None and method != "lp-round":
         raise ValueError(f"a seed selects randomized rounding; method {method!r} does not round")
     relaxation = outcome = optimum = None

@@ -171,7 +171,7 @@ def test_failed_solve_removes_its_report_file(tmp_path, capsys):
 
 
 def test_simplex_iteration_cap_exits_3(tmp_path, capsys, monkeypatch):
-    def capped(a):
+    def capped(a, basis):
         raise IterationLimitExceeded("simplex iteration limit hit")
 
     monkeypatch.setattr(lp, "_solve_covering_lp", capped)
@@ -259,6 +259,27 @@ def test_out_of_range_numbers_exit_2(tmp_path, capsys):
         assert captured.out == ""
     assert not report.exists()
     assert not (tmp_path / "g.txt").exists()
+
+
+@pytest.mark.parametrize("method", ["lp-round", "after-red", "greedy"])
+def test_subset_cap_is_checked_for_every_method(tmp_path, capsys, method):
+    circuit = write(tmp_path, "c.txt", CHAIN)
+    report = tmp_path / "r.tsv"
+    argv = ["solve", circuit, "--level", "3", "--method", method,
+            "--max-exact-subsets", "-1", "--out", str(report)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "error: subset cap must be >= 1, got -1" in captured.err
+    assert captured.out == ""
+    assert not report.exists()
+
+
+def test_red_fraction_is_checked_for_a_kind_that_ignores_it(tmp_path, capsys):
+    out = tmp_path / "g.txt"
+    assert main(["gen", "--kind", "red-chain", "--length", "3", "--red-fraction", "7",
+                 "--out", str(out)]) == 2
+    assert "error: red_fraction must be in [0, 1], got 7.0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_solve_checks_the_level_before_parsing(tmp_path, capsys):

@@ -86,7 +86,7 @@ def test_simplex_iteration_cap_raises(monkeypatch):
 def test_master_returns_its_packing_certificate():
     # An odd cycle of pairs: x = z = 1/2 everywhere, objective 3/2.
     a = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]])
-    x, z = lp._solve_covering_lp(a)
+    x, z, _ = lp._solve_covering_lp(a)
     assert x == pytest.approx([0.5] * 3, abs=1e-12)
     assert z == pytest.approx([0.5] * 3, abs=1e-12)
 
@@ -98,6 +98,86 @@ def test_uncertified_master_raises(monkeypatch):
     rows = [frozenset(r) for r in ({0, 1}, {0, 2}, {0, 3}, {1, 2})]
     with pytest.raises(NumericalFailure, match="certificate"):
         solve_restricted_master(4, rows)
+
+
+def test_bad_start_basis_raises():
+    # Both packing rows claim row 0 as their basic column.
+    with pytest.raises(NumericalFailure, match="singular"):
+        solve_restricted_master(2, [frozenset({0, 1})], {0: 0, 1: 0})
+    for basis in ({0: 1}, {0: ~1}):  # a row, then a slack, not in the master
+        with pytest.raises(ValueError, match="outside this master"):
+            solve_restricted_master(2, [frozenset({0})], basis)
+
+
+def grown_master(rng, n, rounds):
+    """Row lists of a master grown round by round.  Each round appends rows
+    over vertices no earlier row touched, rows over old vertices, and
+    repeats, subsets and supersets of earlier rows, which make it degenerate."""
+    rows: list[frozenset[int]] = []
+    fresh = list(range(n))
+    rng.shuffle(fresh)
+    masters = []
+    for _ in range(rounds):
+        for _ in range(rng.randint(3, 12)):
+            kind = rng.random()
+            if fresh and (not rows or kind < 0.3):
+                take = [fresh.pop() for _ in range(min(len(fresh), rng.randint(1, 3)))]
+                old = rng.sample(sorted(set().union(*rows)), min(2, len(rows))) if rows else []
+                rows.append(frozenset(take + old))
+            elif kind < 0.5:
+                rows.append(rng.choice(rows))
+            elif kind < 0.7:
+                base = sorted(rng.choice(rows))
+                if len(base) > 1:
+                    rows.append(frozenset(rng.sample(base, len(base) - 1)))
+                else:
+                    rows.append(frozenset(base) | {rng.choice(sorted(set().union(*rows)))})
+            else:
+                used = sorted(set().union(*rows))
+                rows.append(frozenset(rng.sample(used, min(len(used), rng.randint(2, 6)))))
+        masters.append(list(rows))
+    return masters
+
+
+def recorded_masters(circuit, level):
+    """The row list of every master row generation solves on `circuit`."""
+    masters = []
+    solve = lp.solve_restricted_master
+
+    def record(n, rows, basis):
+        masters.append(list(rows))
+        return solve(n, rows, basis)
+
+    lp.solve_restricted_master = record
+    try:
+        solve_relaxation(circuit, level)
+    finally:
+        lp.solve_restricted_master = solve
+    return masters
+
+
+@pytest.mark.parametrize("bland_after", [lp.BLAND_AFTER, 1], ids=["default", "eager-bland"])
+def test_warm_started_master_matches_cold_and_highs(monkeypatch, bland_after):
+    """A master started from the previous round's basis reaches the same
+    optimum as one started from the slack basis, and as HiGHS.  The
+    400-vertex circuit's masters run more than BLAND_AFTER degenerate pivots
+    in a row, so they price by Bland's rule at the default too; eager-bland
+    switches to it after every degenerate pivot."""
+    rng = random.Random(29)
+    grown = [(n, grown_master(rng, n, rng.randint(3, 8))) for n in (12, 30, 60, 90)]
+    big = layered(10, 40, 0.3, 1)
+    grown.append((big.n, recorded_masters(big, 3)[1:]))
+    monkeypatch.setattr(lp, "BLAND_AFTER", bland_after)
+    for n, masters in grown:
+        basis: dict[int, int] = {}
+        for rows in masters:
+            warm_weights, warm = solve_restricted_master(n, rows, basis)
+            _, cold = solve_restricted_master(n, rows)
+            assert set(basis) == set().union(*rows)
+            assert warm == pytest.approx(cold, abs=1e-9)
+            assert warm == pytest.approx(scipy_covering_optimum(rows, n), abs=1e-9)
+            for row in rows:
+                assert sum(warm_weights[v] for v in row) >= 1.0 - 1e-9
 
 
 def test_empty_row_rejected():
@@ -182,7 +262,7 @@ def test_no_interesting_paths_means_zero_objective():
 def test_separation_repeating_a_master_row_raises(monkeypatch):
     # A master that ignores its rows leaves the chain's one interesting path
     # violated, so the second round re-finds a row it already holds.
-    monkeypatch.setattr(lp, "solve_restricted_master", lambda n, rows: ([0.0] * n, 0.0))
+    monkeypatch.setattr(lp, "solve_restricted_master", lambda n, rows, basis: ([0.0] * n, 0.0))
     with pytest.raises(NumericalFailure):
         solve_relaxation(red_chain(4), 1)
 
@@ -245,6 +325,22 @@ def test_relaxation_on_a_degenerate_400_vertex_master():
     # the solve must finish and agree with HiGHS on the rows it generated.
     c = layered(10, 40, 0.3, 1)
     result = solve_relaxation(c, 3)
+    assert result.objective == pytest.approx(
+        scipy_covering_optimum(result.rows, c.n), abs=1e-6
+    )
+
+
+@pytest.mark.parametrize(
+    "shape, level",
+    [((15, 50, 0.3, 1), 3), ((10, 35, 0.35, 11), 3), ((12, 40, 0.4, 9), 4)],
+    ids=["750-vertex", "350-vertex", "480-vertex"],
+)
+def test_degenerate_relaxations_agree_with_highs(shape, level):
+    # Masters of up to about 800 highly degenerate rows, with long runs of
+    # degenerate pivots whose right-hand sides are rounding noise around 0;
+    # the solve must finish and agree with HiGHS on the rows it generated.
+    c = layered(*shape)
+    result = solve_relaxation(c, level)
     assert result.objective == pytest.approx(
         scipy_covering_optimum(result.rows, c.n), abs=1e-6
     )
