@@ -11,14 +11,7 @@ the approximation-preserving reduction from DAG vertex deletion.
 """
 
 from .baselines import after_every_red, greedy_topological
-from .circuit import (
-    Circuit,
-    Color,
-    eval_levels,
-    is_feasible_by_levels,
-    max_level,
-    validate,
-)
+from .circuit import Circuit, Color, eval_levels, is_feasible_by_levels, validate
 from .dvd import (
     DvdInstance,
     ReductionMap,
@@ -32,19 +25,9 @@ from .dvd import (
 from .exact import ExactResult, exact_bootstrap, exact_dvd
 from .generate import layered, random_circuit, random_dvd, red_chain, series_parallel
 from .lp import LpResult, solve_relaxation, solve_restricted_master
-from .paths import (
-    LevelTables,
-    backtrack_interesting_path,
-    level_lengths,
-)
+from .paths import LevelTables, backtrack_interesting_path, level_lengths
 from .pipeline import Plan, plan
-from .rounding import (
-    RoundingOutcome,
-    breakpoints,
-    derandomized_round,
-    randomized_round,
-    round_at,
-)
+from .rounding import RoundingOutcome, breakpoints, derandomized_round, randomized_round
 
 __all__ = [
     "Circuit",
@@ -69,7 +52,6 @@ __all__ = [
     "layered",
     "level_lengths",
     "longest_path_vertices",
-    "max_level",
     "plan",
     "pull_back",
     "push_forward",
@@ -78,7 +60,6 @@ __all__ = [
     "randomized_round",
     "red_chain",
     "reduce_to_circuit",
-    "round_at",
     "series_parallel",
     "solve_relaxation",
     "solve_restricted_master",

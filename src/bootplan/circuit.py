@@ -49,7 +49,7 @@ class Circuit:
     colors: tuple[Color, ...]
     topo: tuple[int, ...]
     preds: tuple[tuple[int, ...], ...]
-    names: tuple[str, ...] | None = None
+    names: tuple[str, ...]
 
     @property
     def n(self) -> int:
@@ -70,15 +70,23 @@ class Circuit:
         return tuple(v for v in range(self.n) if self.colors[v] is Color.RED)
 
     def name_of(self, v: int) -> str:
-        if self.names is not None:
-            return self.names[v]
-        return f"v{v}"
+        return self.names[v]
 
 
 def require_level(level: int, least: int = 1, what: str = "noise budget") -> None:
     """Noise budgets are integers >= 1 (DVD levels >= 2), checked at the boundary."""
     if not isinstance(level, int) or isinstance(level, bool) or level < least:
         raise ValueError(f"{what} must be an integer >= {least}, got {level!r}")
+
+
+def name_tuple(names: Iterable[str] | None, n: int) -> tuple[str, ...]:
+    """The names of ids 0..n-1, v0..v{n-1} when none are given."""
+    if names is None:
+        return tuple(f"v{v}" for v in range(n))
+    named = tuple(names)
+    if len(named) != n:
+        raise ValueError("names must cover every vertex")
+    return named
 
 
 def dag_order(
@@ -123,11 +131,11 @@ def validate(
 
     colors[v] is the color of vertex v, so ids are 0..len(colors)-1; raw_edges
     yields (src, dst) or (src, dst, multiplicity) with multiplicity >= 1 and
-    parallel occurrences aggregated.  Raises UnknownVertex for dangling edge
-    endpoints, IndegreeViolation when a color's indegree rule fails (White: 0,
-    Blue/Red: exactly 2 counting multiplicity), and CycleDetected when the
-    graph is not acyclic.  The returned topological order is recomputed, so
-    edge order does not matter.
+    parallel occurrences aggregated; names default to v0..v{n-1}.  Raises
+    UnknownVertex for dangling edge endpoints, IndegreeViolation when a
+    color's indegree rule fails (White: 0, Blue/Red: exactly 2 counting
+    multiplicity), and CycleDetected when the graph is not acyclic.  The
+    returned topological order is recomputed, so edge order does not matter.
     """
     color_tuple = tuple(colors)
     n = len(color_tuple)
@@ -135,11 +143,7 @@ def validate(
         if not isinstance(color, Color):
             raise ValueError(f"bad color for vertex {vid}: {color!r}")
 
-    name_tuple: tuple[str, ...] | None = None
-    if names is not None:
-        name_tuple = tuple(names)
-        if len(name_tuple) != n:
-            raise ValueError("names must cover every vertex")
+    named = name_tuple(names, n)
 
     indeg = [0] * n
     pred_sets: list[set[int]] = [set() for _ in range(n)]
@@ -162,13 +166,11 @@ def validate(
     for v in range(n):
         expected = 0 if color_tuple[v] is Color.WHITE else 2
         if indeg[v] != expected:
-            raise IndegreeViolation(
-                v, expected, indeg[v], name_tuple[v] if name_tuple else None
-            )
+            raise IndegreeViolation(v, expected, indeg[v], named[v])
 
     topo, preds = dag_order(pred_sets, "circuit graph")
 
-    return Circuit(color_tuple, topo, preds, name_tuple)
+    return Circuit(color_tuple, topo, preds, named)
 
 
 def _check_marks(circuit: Circuit, marks: Set[int]) -> frozenset[int]:
@@ -201,12 +203,7 @@ def eval_levels(circuit: Circuit, marks: Set[int]) -> list[int]:
     return levels
 
 
-def max_level(circuit: Circuit, marks: Set[int]) -> int:
-    levels = eval_levels(circuit, marks)
-    return max(levels, default=0)
-
-
 def is_feasible_by_levels(circuit: Circuit, marks: Set[int], level: int) -> bool:
     """True when no vertex exceeds the noise budget under the marks."""
     require_level(level)
-    return max_level(circuit, marks) <= level
+    return max(eval_levels(circuit, marks), default=0) <= level

@@ -28,7 +28,15 @@ from collections.abc import Iterable, Mapping, Set
 from dataclasses import dataclass
 from functools import cached_property
 
-from .circuit import Circuit, Color, dag_order, is_feasible_by_levels, require_level, validate
+from .circuit import (
+    Circuit,
+    Color,
+    dag_order,
+    is_feasible_by_levels,
+    name_tuple,
+    require_level,
+    validate,
+)
 from .errors import InfeasibleInput, UnknownVertex
 
 
@@ -39,7 +47,7 @@ class DvdInstance:
     level: int
     topo: tuple[int, ...]
     preds: tuple[tuple[int, ...], ...]
-    names: tuple[str, ...] | None = None
+    names: tuple[str, ...]
 
     @property
     def n(self) -> int:
@@ -51,9 +59,7 @@ class DvdInstance:
         return tuple(sorted((u, v) for v, ps in enumerate(self.preds) for u in ps))
 
     def name_of(self, v: int) -> str:
-        if self.names is not None:
-            return self.names[v]
-        return f"v{v}"
+        return self.names[v]
 
 
 def validate_dvd(
@@ -62,7 +68,8 @@ def validate_dvd(
     level: int,
     names: Iterable[str] | None = None,
 ) -> DvdInstance:
-    """Simple-graph DAG over ids 0..n-1; duplicate edges collapse."""
+    """Simple-graph DAG over ids 0..n-1; duplicate edges collapse, and names
+    default to v0..v{n-1}."""
     require_level(level, 2, "DVD level")
     pred_sets: list[set[int]] = [set() for _ in range(n)]
     for src, dst in raw_edges:
@@ -71,15 +78,9 @@ def validate_dvd(
                 raise UnknownVertex(endpoint)
         pred_sets[dst].add(src)
 
-    name_tuple = None
-    if names is not None:
-        name_tuple = tuple(names)
-        if len(name_tuple) != n:
-            raise ValueError("names must cover every vertex")
-
+    named = name_tuple(names, n)
     topo, preds = dag_order(pred_sets, "deletion instance")
-
-    return DvdInstance(level=level, topo=topo, preds=preds, names=name_tuple)
+    return DvdInstance(level=level, topo=topo, preds=preds, names=named)
 
 
 def longest_path_vertices(instance: DvdInstance, deleted: Set[int]) -> int:
@@ -133,8 +134,8 @@ def _fresh_name(base: str, used: set[str]) -> str:
 def reduce_to_circuit(instance: DvdInstance) -> ReductionMap:
     """Build the bootstrap circuit whose optimum equals the DVD optimum."""
     m = instance.n
-    used = {instance.name_of(v) for v in range(m)}
-    names = [instance.name_of(v) for v in range(m)]
+    names = list(instance.names)
+    used = set(names)
     colors: list[Color] = [Color.RED] * m
 
     def new_vertex(color: Color, base: str) -> int:

@@ -18,12 +18,11 @@ class CycleDetected(BootplanError):
 class IndegreeViolation(BootplanError):
     """A vertex has an indegree incompatible with its color."""
 
-    def __init__(self, vertex: int, expected: int, actual: int, name: str | None = None):
+    def __init__(self, vertex: int, expected: int, actual: int, name: str):
         self.vertex = vertex
         self.expected = expected
         self.actual = actual
-        label = name if name is not None else f"vertex {vertex}"
-        super().__init__(f"{label}: expected indegree {expected}, got {actual}")
+        super().__init__(f"{name}: expected indegree {expected}, got {actual}")
 
 
 class UnknownVertex(BootplanError):

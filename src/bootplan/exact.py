@@ -2,14 +2,14 @@
 
 exact_bootstrap and exact_dvd run one subset search: candidate subsets in
 increasing cardinality, stopping at the first feasible one, so the witness
-has minimum size.  The candidate space is capped up front (default 2**24
-subsets) and TooLarge is raised when it would be bigger; an explicit size
-budget shrinks that space.  DVD feasibility itself lives in bootplan.dvd.
+has minimum size.  The search space is every subset of the candidate pool,
+capped up front (default 2**24 subsets): TooLarge is raised when it would be
+bigger.  Below the cap both oracles always answer, since the whole pool is
+feasible.  DVD feasibility itself lives in bootplan.dvd.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from itertools import combinations
@@ -37,62 +37,48 @@ def require_subset_cap(max_subsets: int) -> None:
 def _smallest_feasible(
     pool: Sequence[int],
     feasible: Callable[[frozenset[int]], bool],
-    budget: int | None,
     max_subsets: int,
-) -> ExactResult | None:
+) -> ExactResult:
     """First feasible subset of `pool` in (size, lexicographic) order.
 
-    Raises TooLarge when the subsets of size <= budget outnumber max_subsets,
-    and ValueError when max_subsets < 1; returns None when none is feasible.
+    The whole pool must be feasible; it is returned unchecked when no smaller
+    subset is.  Raises TooLarge when the 2**len(pool) subsets outnumber
+    max_subsets, and ValueError when max_subsets < 1.
     """
     require_subset_cap(max_subsets)
     n = len(pool)
-    top = n if budget is None else min(budget, n)
-    space = 1 << n if top == n else sum(math.comb(n, k) for k in range(top + 1))
-    if space > max_subsets:
+    if 1 << n > max_subsets:
         raise TooLarge(f"candidate space over {n} vertices exceeds {max_subsets} subsets")
     explored = 0
-    for size in range(top + 1):
+    for size in range(n):
         for combo in combinations(pool, size):
             explored += 1
             subset = frozenset(combo)
             if feasible(subset):
                 return ExactResult(optimum=size, witness=subset, explored=explored)
-    return None
+    return ExactResult(optimum=n, witness=frozenset(pool), explored=explored + 1)
 
 
 def exact_bootstrap(
-    circuit: Circuit,
-    level: int,
-    budget: int | None = None,
-    max_subsets: int = DEFAULT_SUBSET_CAP,
-) -> ExactResult | None:
+    circuit: Circuit, level: int, max_subsets: int = DEFAULT_SUBSET_CAP
+) -> ExactResult:
     """Minimum-cardinality feasible mark set by brute force.
 
     White vertices are excluded from the candidate pool (marking them never
-    changes any level).  Returns None when an explicit budget exhausts
-    without a feasible subset; without a budget the search always terminates
-    because marking every non-White vertex is feasible for any L >= 1.
+    changes any level); marking every other vertex is feasible for any L >= 1.
     """
     require_level(level)
     candidates = [v for v in range(circuit.n) if circuit.colors[v] is not Color.WHITE]
     return _smallest_feasible(
         candidates,
         lambda marks: max(eval_levels(circuit, marks), default=0) <= level,
-        budget,
         max_subsets,
     )
 
 
-def exact_dvd(
-    instance: DvdInstance,
-    budget: int | None = None,
-    max_subsets: int = DEFAULT_SUBSET_CAP,
-) -> ExactResult | None:
-    """Minimum-cardinality deletion set by brute force over all vertices."""
+def exact_dvd(instance: DvdInstance, max_subsets: int = DEFAULT_SUBSET_CAP) -> ExactResult:
+    """Minimum-cardinality deletion set by brute force over all vertices;
+    deleting every vertex is feasible."""
     return _smallest_feasible(
-        range(instance.n),
-        lambda deleted: dvd_is_feasible(instance, deleted),
-        budget,
-        max_subsets,
+        range(instance.n), lambda deleted: dvd_is_feasible(instance, deleted), max_subsets
     )

@@ -9,7 +9,9 @@ DVD files use the same layout without colors or multiplicities:
 Mark files are whitespace-separated vertex names.  '#' starts a comment in
 all three formats; the noise budget L never appears in a file, it always
 arrives out of band.  Vertex ids are assigned in declaration order, so
-formatting then parsing reproduces the same object.
+formatting then parsing reproduces the same object; the writers raise
+ValueError for names that would not read back (empty, holding whitespace or
+'#', or repeated), so the readers need not guard against their own output.
 
 Graph files are read in two passes, so no edge line is kept: the first reads
 node lines, skips edge lines (an edge may name a later node) and rejects
@@ -76,12 +78,23 @@ def parse_circuit(text: str, source: str = "<circuit>") -> Circuit:
     return validate(colors, edges, names=ids)
 
 
+def _writable_names(graph: Circuit | DvdInstance) -> tuple[str, ...]:
+    """graph.names, each checked to be one token without '#', none repeated."""
+    seen: set[str] = set()
+    for name in graph.names:
+        if name.split() != [name] or "#" in name:
+            raise ValueError(f"node name {name!r} is not one token without '#'")
+        if name in seen:
+            raise ValueError(f"duplicate node name {name!r}")
+        seen.add(name)
+    return graph.names
+
+
 def format_circuit(circuit: Circuit) -> str:
-    out = []
-    for v in range(circuit.n):
-        out.append(f"node {circuit.name_of(v)} {circuit.colors[v].value}")
+    names = _writable_names(circuit)
+    out = [f"node {names[v]} {color.value}" for v, color in enumerate(circuit.colors)]
     for src, dst, mult in circuit.edges:
-        line = f"edge {circuit.name_of(src)} {circuit.name_of(dst)}"
+        line = f"edge {names[src]} {names[dst]}"
         if mult != 1:
             line += f" {mult}"
         out.append(line)
@@ -105,10 +118,9 @@ def parse_dvd(text: str, level: int, source: str = "<dvd>") -> DvdInstance:
 
 
 def format_dvd(instance: DvdInstance) -> str:
-    out = [f"node {instance.name_of(v)}" for v in range(instance.n)]
-    out.extend(
-        f"edge {instance.name_of(src)} {instance.name_of(dst)}" for src, dst in instance.edges
-    )
+    names = _writable_names(instance)
+    out = [f"node {name}" for name in names]
+    out.extend(f"edge {names[src]} {names[dst]}" for src, dst in instance.edges)
     return "\n".join(out) + "\n" if out else ""
 
 

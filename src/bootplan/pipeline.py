@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import TextIO
 
 from . import baselines, exact, lp, rounding
-from .circuit import Circuit, is_feasible_by_levels
+from .circuit import Circuit, eval_levels, is_feasible_by_levels, require_level
 
 METHODS = ("lp-round", "exact", "after-red", "greedy")
 
@@ -42,24 +42,27 @@ def plan(
 
     seed=None rounds by the derandomized scan; an int rounds once, at a
     uniform threshold drawn with that seed.  trace receives the relaxation's
-    per-round lines.  Raises ValueError for an unknown method, for a seed
-    with a method that does not round, and for max_subsets < 1 whatever the
+    per-round lines.  Raises ValueError for a bad level, an unknown method, a
+    seed with a method that does not round, and max_subsets < 1 whatever the
     method, all before solving.
     """
+    require_level(level)
     exact.require_subset_cap(max_subsets)
     if seed is not None and method != "lp-round":
         raise ValueError(f"a seed selects randomized rounding; method {method!r} does not round")
     relaxation = outcome = optimum = None
     if method == "lp-round":
-        relaxation = lp.solve_relaxation(circuit, level, trace=trace)
+        # No interesting path exists for a budget at or above the unmarked
+        # circuit's highest level, so any such budget solves like that level.
+        budget = max(1, min(level, max(eval_levels(circuit, frozenset()), default=0)))
+        relaxation = lp.solve_relaxation(circuit, budget, trace=trace)
         if seed is None:
-            outcome = rounding.derandomized_round(circuit, level, relaxation.tables)
+            outcome = rounding.derandomized_round(circuit, budget, relaxation.tables)
         else:
-            outcome = rounding.randomized_round(circuit, level, relaxation.tables, seed)
+            outcome = rounding.randomized_round(circuit, budget, relaxation.tables, seed)
         marks = outcome.marks
     elif method == "exact":
         optimum = exact.exact_bootstrap(circuit, level, max_subsets=max_subsets)
-        assert optimum is not None  # no budget passed, search is complete
         marks = optimum.witness
     elif method == "after-red":
         marks = baselines.after_every_red(circuit)

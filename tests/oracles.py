@@ -13,6 +13,7 @@ import numpy as np
 
 from bootplan.circuit import Circuit, Color
 from bootplan.dvd import DvdInstance
+from bootplan.paths import LevelTables
 
 
 def _succ_map(circuit: Circuit) -> dict[int, set[int]]:
@@ -118,6 +119,20 @@ def blue_distances_brute(
         if length < out[u].get(v, math.inf):
             out[u][v] = length
     return out
+
+
+def round_at(tables: LevelTables, level: int, t: float) -> frozenset[int]:
+    """Threshold rounding read straight off the table: v is marked when t lies
+    in [lengths[i][v], lengths[i][v] + x_v], within 1e-9, for some i in 1..level."""
+    x = tables.weights
+    return frozenset(
+        v
+        for v in range(len(x))
+        if any(
+            tables.lengths[i][v] - 1e-9 <= t <= tables.lengths[i][v] + x[v] + 1e-9
+            for i in range(1, level + 1)
+        )
+    )
 
 
 def covering_lp_by_vertex_enumeration(

@@ -9,13 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from bootplan.circuit import (
-    Color,
-    eval_levels,
-    is_feasible_by_levels,
-    max_level,
-    validate,
-)
+from bootplan.circuit import Color, eval_levels, is_feasible_by_levels, validate
 from bootplan.dvd import validate_dvd
 from bootplan.errors import CycleDetected, IndegreeViolation, UnknownVertex
 from strategies import build, circuit_parts, circuits, marked_circuits
@@ -42,6 +36,13 @@ def test_single_in_edge_rejected():
     assert info.value.vertex == 1
     assert info.value.expected == 2
     assert info.value.actual == 1
+
+
+def test_unnamed_vertices_carry_default_names():
+    assert build("wr", (0, 1, 2)).names == ("v0", "v1")
+    assert validate_dvd(2, [(0, 1)], 2).names == ("v0", "v1")
+    with pytest.raises(IndegreeViolation, match="^v1: expected indegree 2, got 1$"):
+        build("wr", (0, 1))
 
 
 def test_white_with_in_edge_rejected():
@@ -208,4 +209,4 @@ def test_color_level_floors(circuit):
 @PROPERTY
 @given(circuits())
 def test_mark_everything_reaches_level_at_most_one(circuit):
-    assert max_level(circuit, frozenset(range(circuit.n))) <= 1
+    assert max(eval_levels(circuit, frozenset(range(circuit.n))), default=0) <= 1

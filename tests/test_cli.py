@@ -9,7 +9,9 @@ import pytest
 
 from bootplan import formats, generate, lp
 from bootplan.cli import main
+from bootplan.dvd import pull_back, reduce_to_circuit
 from bootplan.errors import IterationLimitExceeded
+from bootplan.exact import exact_bootstrap, exact_dvd
 
 CHAIN = """\
 # four multiplications in a row
@@ -207,6 +209,31 @@ def test_solve_reports_are_frozen(tmp_path, capsys):
                 digest.update("".join(l for l in lines if not l.startswith("time_s:")).encode())
     assert digest.hexdigest() == (
         "c1664b3579b38c6a09c1b9aad6810dd2aaab54503d047240c6ccc546dbb5ef3d"
+    )
+
+
+def test_reductions_and_witnesses_are_frozen(tmp_path, capsys):
+    # reduce-dvd's circuit and map, the exact deletion set and the pulled-back
+    # exact mark set must stay byte-identical on random deletion instances,
+    # whose vertices carry the default names.
+    rng = random.Random(1111)
+    digest = hashlib.sha256()
+    for _ in range(40):
+        inst = generate.random_dvd(
+            rng.randint(1, 6), rng.choice((2, 3)), rng.randint(0, 10**6), 0.5
+        )
+        path = write(tmp_path, "h.dvd", formats.format_dvd(inst))
+        assert main(["reduce-dvd", path, "--level", str(inst.level)]) == 0
+        digest.update(capsys.readouterr().out.encode())
+        rmap = reduce_to_circuit(inst)
+        deleted = exact_dvd(inst)
+        marked = exact_bootstrap(rmap.circuit, inst.level, max_subsets=1 << rmap.circuit.n)
+        witnesses = (deleted.optimum, deleted.explored, sorted(deleted.witness),
+                     marked.optimum, marked.explored, sorted(marked.witness),
+                     sorted(pull_back(rmap, marked.witness)))
+        digest.update(repr(witnesses).encode())
+    assert digest.hexdigest() == (
+        "fd35006d6a28ed19aecf7e913691b9b3c2b90c946977dc1983178b533c2dbdd5"
     )
 
 

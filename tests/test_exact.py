@@ -1,4 +1,4 @@
-"""Brute-force oracle behavior: optima, witnesses, caps, budgets."""
+"""Brute-force oracle behavior: optima, witnesses, caps."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ import oracles
 from bootplan.circuit import Color
 from bootplan.dvd import dvd_is_feasible, longest_path_vertices, validate_dvd
 from bootplan.errors import TooLarge
-from bootplan.exact import exact_bootstrap, exact_dvd
+from bootplan.exact import ExactResult, exact_bootstrap, exact_dvd
 from bootplan.generate import random_dvd
 from strategies import build, circuits
 
@@ -65,14 +65,9 @@ def test_subset_cap_below_one_rejected(cap):
         exact_dvd(validate_dvd(2, [(0, 1)], 2), max_subsets=cap)
 
 
-def test_budget_shrinks_space_below_cap():
-    # 1 + C(4,1) = 5 subsets fit under the same cap that just failed.
-    result = exact_bootstrap(red_chain4(), 3, budget=1, max_subsets=10)
-    assert result.optimum == 1
-
-
-def test_budget_exhausted_returns_none():
-    assert exact_bootstrap(red_chain4(), 1, budget=2) is None
+def test_empty_pools_answer():
+    assert exact_bootstrap(build("ww"), 1) == ExactResult(0, frozenset(), 1)
+    assert exact_dvd(validate_dvd(0, [], 2)) == ExactResult(0, frozenset(), 1)
 
 
 @PROPERTY
@@ -124,12 +119,12 @@ def test_exact_dvd_on_a_path():
     assert result.explored == 1 + 2
 
 
-def test_exact_dvd_cap_and_budget():
+def test_exact_dvd_cap():
+    # Four vertices, 16 subsets: a cap of 15 refuses the search up front.
     inst = path_dvd(2)
     with pytest.raises(TooLarge):
-        exact_dvd(inst, max_subsets=4)
-    assert exact_dvd(inst, budget=1) is None
-    assert exact_dvd(inst, budget=2).optimum == 2
+        exact_dvd(inst, max_subsets=15)
+    assert exact_dvd(inst, max_subsets=16).optimum == 2
 
 
 def test_longest_path_matches_brute_force():

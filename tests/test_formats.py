@@ -8,8 +8,8 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from bootplan.circuit import Color
-from bootplan.dvd import reduce_to_circuit
+from bootplan.circuit import Color, validate
+from bootplan.dvd import reduce_to_circuit, validate_dvd
 from bootplan.errors import CycleDetected, IndegreeViolation, ParseError
 from bootplan.formats import (
     format_circuit,
@@ -53,11 +53,7 @@ def test_roundtrip_print_parse():
 @settings(max_examples=100, deadline=None)
 @given(circuits())
 def test_roundtrip_generated(circuit):
-    # Generated circuits carry no names; attach the defaults before comparing.
-    named = parse_circuit(format_circuit(circuit))
-    assert named.colors == circuit.colors
-    assert named.edges == circuit.edges
-    assert named.topo == circuit.topo
+    assert parse_circuit(format_circuit(circuit)) == circuit
 
 
 def test_roundtrip_random_named_circuit():
@@ -106,6 +102,18 @@ def test_empty_circuit_file():
     c = parse_circuit("# nothing\n")
     assert c.n == 0
     assert format_circuit(c) == ""
+
+
+@pytest.mark.parametrize(
+    "names",
+    [["a", "a", "b"], ["a", "", "b"], ["a", "b c", "d"], ["a", "b\tc", "d"], ["a#", "b", "c"]],
+)
+def test_writers_reject_names_that_do_not_read_back(names):
+    circuit = validate([Color.WHITE, Color.RED, Color.BLUE], [(0, 1, 2), (0, 2), (1, 2)], names)
+    with pytest.raises(ValueError, match="node name"):
+        format_circuit(circuit)
+    with pytest.raises(ValueError, match="node name"):
+        format_dvd(validate_dvd(3, [(0, 1)], 2, names))
 
 
 def test_parse_dvd_roundtrip():

@@ -6,8 +6,9 @@ import pytest
 
 from bootplan import baselines, exact, lp
 from bootplan.baselines import after_every_red, greedy_topological
+from bootplan.circuit import eval_levels
 from bootplan.exact import exact_bootstrap
-from bootplan.generate import red_chain
+from bootplan.generate import layered, red_chain
 from bootplan.lp import solve_relaxation
 from bootplan.pipeline import METHODS, plan
 from bootplan.rounding import derandomized_round, randomized_round
@@ -63,6 +64,19 @@ def test_seeded_randomized_plan_is_repeatable():
     assert first.rounding == second.rounding
     assert first.rounding == randomized_round(circuit, level, first.lp.tables, 11)
     assert first.verified
+
+
+@pytest.mark.parametrize(
+    "circuit", [red_chain(7), layered(6, 5, 0.5, 3), build("wwb", (0, 2, 1), (1, 2, 1))],
+    ids=["red-chain", "layered", "no-red"],
+)
+def test_budgets_above_the_depth_plan_like_the_depth(circuit):
+    # No interesting path exists at or above the unmarked circuit's highest
+    # level, so a budget of 10**9 must solve at that level, not fill 10**9
+    # rows of the length table.
+    depth = max(1, max(eval_levels(circuit, frozenset())))
+    for seed in (None, 4):
+        assert plan(circuit, 10**9, seed=seed) == plan(circuit, depth, seed=seed)
 
 
 @pytest.mark.parametrize("method", ["exact", "after-red", "greedy"])

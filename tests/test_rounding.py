@@ -12,12 +12,8 @@ from bootplan.errors import NoFeasibleCandidate
 from bootplan.generate import random_circuit
 from bootplan.lp import solve_relaxation
 from bootplan.paths import level_lengths
-from bootplan.rounding import (
-    breakpoints,
-    derandomized_round,
-    randomized_round,
-    round_at,
-)
+from bootplan.rounding import breakpoints, derandomized_round, randomized_round
+from oracles import round_at
 from strategies import build, levels_st, weighted_circuits
 
 PROPERTY = settings(max_examples=120, deadline=None)
@@ -117,8 +113,6 @@ def test_randomized_round_rejects_uncovered_threshold():
 
 def test_budget_mismatch_rejected():
     c, tables = chain_tables(level=3)
-    with pytest.raises(ValueError):
-        round_at(tables, 2, 0.5)
     with pytest.raises(ValueError):
         breakpoints(tables, 2)
     with pytest.raises(ValueError):
