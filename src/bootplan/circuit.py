@@ -124,18 +124,19 @@ def dag_order(
 
 def validate(
     colors: Sequence[Color],
-    raw_edges: Iterable[tuple[int, ...]],
+    raw_edges: Iterable[tuple[int, int, int]],
     names: Iterable[str] | None = None,
 ) -> Circuit:
     """Check structure and build an immutable Circuit.
 
     colors[v] is the color of vertex v, so ids are 0..len(colors)-1; raw_edges
-    yields (src, dst) or (src, dst, multiplicity) with multiplicity >= 1 and
-    parallel occurrences aggregated; names default to v0..v{n-1}.  Raises
-    UnknownVertex for dangling edge endpoints, IndegreeViolation when a
-    color's indegree rule fails (White: 0, Blue/Red: exactly 2 counting
-    multiplicity), and CycleDetected when the graph is not acyclic.  The
-    returned topological order is recomputed, so edge order does not matter.
+    yields (src, dst, multiplicity) triples, multiplicity >= 1, and parallel
+    occurrences are aggregated; names default to v0..v{n-1}.  Raises
+    ValueError for edges of another length, UnknownVertex for dangling edge
+    endpoints, IndegreeViolation when a color's indegree rule fails (White: 0,
+    Blue/Red: exactly 2 counting multiplicity), and CycleDetected when the
+    graph is not acyclic.  The returned topological order is recomputed, so
+    edge order does not matter.
     """
     color_tuple = tuple(colors)
     n = len(color_tuple)
@@ -147,14 +148,7 @@ def validate(
 
     indeg = [0] * n
     pred_sets: list[set[int]] = [set() for _ in range(n)]
-    for e in raw_edges:
-        if len(e) == 2:
-            src, dst = e
-            m = 1
-        elif len(e) == 3:
-            src, dst, m = e
-        else:
-            raise ValueError(f"edges are (src, dst) or (src, dst, multiplicity), got {e!r}")
+    for src, dst, m in raw_edges:
         for endpoint in (src, dst):
             if not isinstance(endpoint, int) or endpoint < 0 or endpoint >= n:
                 raise UnknownVertex(endpoint)

@@ -41,6 +41,12 @@ def _open_out(path: str) -> TextIO:
         raise BootplanError(f"cannot write {path}: {exc.strerror}") from exc
 
 
+def _require_distinct(first: str | None, second: str | None) -> None:
+    """Two outputs on one path would overwrite each other, so refuse them up front."""
+    if first and second and Path(first).resolve() == Path(second).resolve():
+        raise BootplanError(f"outputs {first} and {second} are the same file")
+
+
 @contextmanager
 def _output(path: str) -> Iterator[TextIO]:
     """_open_out for a file written whole or not at all: deleted if the body raises."""
@@ -106,6 +112,7 @@ def _solve_report(
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    _require_distinct(args.out, args.trace)
     require_level(args.level)
     circuit = _load_circuit(args.circuit)
     with ExitStack() as files:
@@ -129,21 +136,21 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_reduce_dvd(args: argparse.Namespace) -> int:
-    require_level(args.level, 2, "DVD level")
-    instance = formats.parse_dvd(_read(args.dvd), args.level, source=args.dvd)
+    map_path = args.map_out or f"{args.out}.map"  # used only with --out
+    _require_distinct(args.out, map_path)
+    instance = formats.parse_dvd(_read(args.dvd), source=args.dvd)
     rmap = reduce_to_circuit(instance)
     circuit_text = formats.format_circuit(rmap.circuit)
     map_lines = [f"source\t{rmap.circuit.name_of(rmap.source)}"]
     for v in range(instance.n):
         map_lines.append(
-            f"clone\t{instance.name_of(v)}\t{rmap.circuit.name_of(rmap.clone_of[v])}"
+            f"clone\t{instance.names[v]}\t{rmap.circuit.name_of(rmap.clone_of[v])}"
         )
     for v, chain in sorted(rmap.gadget_of.items()):
         joined = " ".join(rmap.circuit.name_of(w) for w in chain)
-        map_lines.append(f"gadget\t{instance.name_of(v)}\t{joined}")
+        map_lines.append(f"gadget\t{instance.names[v]}\t{joined}")
     map_text = "\n".join(map_lines) + "\n"
     if args.out:
-        map_path = args.map_out or args.out + ".map"
         with _output(args.out) as out, _output(map_path) as map_file:
             out.write(circuit_text)
             map_file.write(map_text)
@@ -194,7 +201,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     reduce_p = sub.add_parser("reduce-dvd", help="reduce a deletion instance to a circuit")
     reduce_p.add_argument("dvd")
-    reduce_p.add_argument("--level", type=int, required=True)
     reduce_p.add_argument("--out")
     reduce_p.add_argument("--map-out")
 

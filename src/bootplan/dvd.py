@@ -2,8 +2,9 @@
 
 DVD asks for a minimum set of vertices whose removal leaves no directed path
 with L vertices (L >= 2); dvd_is_feasible tests a deletion set against that
-rule.  An instance stores a topological order and the distinct predecessors
-of each vertex, both from circuit.dag_order (shared with circuits), and
+rule, and L is an argument of each check, never stored: the reduction builds
+the same circuit for every L.  An instance stores a topological order and
+the distinct predecessors of each vertex, both from circuit.dag_order, and
 derives its edge list from them.  The reduction maps an instance H to a
 circuit G whose minimum bootstrap sets have the same size:
 
@@ -44,7 +45,6 @@ from .errors import InfeasibleInput, UnknownVertex
 class DvdInstance:
     """Validated DVD instance; build through :func:`validate_dvd`."""
 
-    level: int
     topo: tuple[int, ...]
     preds: tuple[tuple[int, ...], ...]
     names: tuple[str, ...]
@@ -58,19 +58,14 @@ class DvdInstance:
         """Distinct (src, dst) arcs sorted by endpoints."""
         return tuple(sorted((u, v) for v, ps in enumerate(self.preds) for u in ps))
 
-    def name_of(self, v: int) -> str:
-        return self.names[v]
-
 
 def validate_dvd(
     n: int,
     raw_edges: Iterable[tuple[int, int]],
-    level: int,
     names: Iterable[str] | None = None,
 ) -> DvdInstance:
     """Simple-graph DAG over ids 0..n-1; duplicate edges collapse, and names
     default to v0..v{n-1}."""
-    require_level(level, 2, "DVD level")
     pred_sets: list[set[int]] = [set() for _ in range(n)]
     for src, dst in raw_edges:
         for endpoint in (src, dst):
@@ -80,7 +75,7 @@ def validate_dvd(
 
     named = name_tuple(names, n)
     topo, preds = dag_order(pred_sets, "deletion instance")
-    return DvdInstance(level=level, topo=topo, preds=preds, names=named)
+    return DvdInstance(topo=topo, preds=preds, names=named)
 
 
 def longest_path_vertices(instance: DvdInstance, deleted: Set[int]) -> int:
@@ -98,9 +93,10 @@ def longest_path_vertices(instance: DvdInstance, deleted: Set[int]) -> int:
     return best
 
 
-def dvd_is_feasible(instance: DvdInstance, deleted: Set[int]) -> bool:
-    """True when no remaining path contains `instance.level` vertices."""
-    return longest_path_vertices(instance, deleted) <= instance.level - 1
+def dvd_is_feasible(instance: DvdInstance, deleted: Set[int], level: int) -> bool:
+    """True when no remaining path contains `level` vertices."""
+    require_level(level, 2, "DVD level")
+    return longest_path_vertices(instance, deleted) <= level - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,23 +177,24 @@ def reduce_to_circuit(instance: DvdInstance) -> ReductionMap:
     )
 
 
-def pull_back(rmap: ReductionMap, marks: Set[int]) -> frozenset[int]:
-    """Deletion set from a feasible mark set, never larger.
+def pull_back(rmap: ReductionMap, marks: Set[int], level: int) -> frozenset[int]:
+    """Deletion set from a mark set feasible for `level`, never larger.
 
     Marked Blue gadget vertices are relocated onto their owning original
     (each single relocation preserves feasibility, so relocating them all,
     in any order, does too); everything outside the original vertex set is
     then dropped.
     """
-    if not is_feasible_by_levels(rmap.circuit, marks, rmap.dvd.level):
+    require_level(level, 2, "DVD level")
+    if not is_feasible_by_levels(rmap.circuit, marks, level):
         raise InfeasibleInput("mark set is not feasible for the reduced circuit")
     owner = rmap.gadget_owner
     relocated = (owner.get(w, w) for w in marks)
     return frozenset(v for v in relocated if v < rmap.dvd.n)
 
 
-def push_forward(rmap: ReductionMap, deleted: Set[int]) -> frozenset[int]:
-    """Mark set from a feasible deletion set; ids coincide on originals."""
-    if not dvd_is_feasible(rmap.dvd, deleted):
+def push_forward(rmap: ReductionMap, deleted: Set[int], level: int) -> frozenset[int]:
+    """Mark set from a deletion set feasible for `level`; ids coincide on originals."""
+    if not dvd_is_feasible(rmap.dvd, deleted, level):
         raise InfeasibleInput("deletion set is not feasible for the DVD instance")
     return frozenset(deleted)

@@ -36,11 +36,10 @@ class UnknownVertex(BootplanError):
 class ParseError(BootplanError):
     """A text input could not be parsed; carries the offending line number."""
 
-    def __init__(self, message: str, source: str = "<input>", line: int | None = None):
+    def __init__(self, message: str, source: str, line: int):
         self.source = source
         self.line = line
-        where = f"{source}:{line}" if line is not None else source
-        super().__init__(f"{where}: {message}")
+        super().__init__(f"{source}:{line}: {message}")
 
 
 class ResourceLimit(BootplanError):

@@ -76,9 +76,12 @@ def exact_bootstrap(
     )
 
 
-def exact_dvd(instance: DvdInstance, max_subsets: int = DEFAULT_SUBSET_CAP) -> ExactResult:
-    """Minimum-cardinality deletion set by brute force over all vertices;
-    deleting every vertex is feasible."""
+def exact_dvd(
+    instance: DvdInstance, level: int, max_subsets: int = DEFAULT_SUBSET_CAP
+) -> ExactResult:
+    """Minimum-cardinality deletion set for DVD level L >= 2 by brute force
+    over all vertices; deleting every vertex is feasible."""
+    require_level(level, 2, "DVD level")
     return _smallest_feasible(
-        range(instance.n), lambda deleted: dvd_is_feasible(instance, deleted), max_subsets
+        range(instance.n), lambda deleted: dvd_is_feasible(instance, deleted, level), max_subsets
     )

@@ -7,8 +7,8 @@ DVD files use the same layout without colors or multiplicities:
     node <name>
     edge <src> <dst>
 Mark files are whitespace-separated vertex names.  '#' starts a comment in
-all three formats; the noise budget L never appears in a file, it always
-arrives out of band.  Vertex ids are assigned in declaration order, so
+all three formats.  The budget L never appears in a file and no reader takes
+it; each feasibility check does.  Vertex ids follow declaration order, so
 formatting then parsing reproduces the same object; the writers raise
 ValueError for names that would not read back (empty, holding whitespace or
 '#', or repeated), so the readers need not guard against their own output.
@@ -101,7 +101,7 @@ def format_circuit(circuit: Circuit) -> str:
     return "\n".join(out) + "\n" if out else ""
 
 
-def parse_dvd(text: str, level: int, source: str = "<dvd>") -> DvdInstance:
+def parse_dvd(text: str, source: str = "<dvd>") -> DvdInstance:
     ids: dict[str, int] = {}  # in declaration order, so its keys are the names
     for lineno, tokens in _lines(text):
         if tokens[0] == "node":
@@ -114,7 +114,7 @@ def parse_dvd(text: str, level: int, source: str = "<dvd>") -> DvdInstance:
         elif tokens[0] != "edge":
             raise ParseError(f"unknown directive {tokens[0]!r}", source, lineno)
     edges = _edges(text, ids, "edge <src> <dst>", source)
-    return validate_dvd(len(ids), ((u, v) for u, v, _ in edges), level, names=ids)
+    return validate_dvd(len(ids), ((u, v) for u, v, _ in edges), names=ids)
 
 
 def format_dvd(instance: DvdInstance) -> str:

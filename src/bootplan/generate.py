@@ -149,7 +149,6 @@ def random_circuit(
 
 def random_dvd(
     n: int,
-    level: int,
     seed: int | random.Random,
     edge_probability: float = 0.3,
 ) -> DvdInstance:
@@ -162,4 +161,4 @@ def random_dvd(
         for v in range(u + 1, n)
         if rng.random() < edge_probability
     ]
-    return validate_dvd(n, edges, level)
+    return validate_dvd(n, edges)

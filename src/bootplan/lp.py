@@ -55,6 +55,7 @@ _REDCOST_TOL = 1e-9
 _TIE_TOL = 1e-12
 CERT_TOL = 1e-9
 REFACTOR_EVERY = 100  # pivots between rebuilds of the tableau from its basis
+ROUNDS_PER_VERTEX_LEVEL = 10  # row-generation rounds allowed per vertex and level
 BLAND_AFTER = 50  # consecutive degenerate pivots before Bland's rule prices
 
 
@@ -70,21 +71,21 @@ class LpResult:
 
 
 def _solve_covering_lp(
-    a: np.ndarray, basis: np.ndarray | None = None
+    a: np.ndarray, basis: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """min 1'x  s.t.  A x >= 1,  x >= 0, for a dense 0/1 matrix A.
 
     Primal simplex on the packing dual  max 1'z  s.t.  A'z <= 1,  z >= 0,
     over the columns of [A' | I] (z, then one slack per packing row).
     `basis` holds the basic column of each packing row and must be primal
-    feasible; None starts from the slack basis.  At the optimum x is the dual
-    price of each packing row, which is minus the reduced cost of that row's
-    slack.  Returns (x, z, final basis).
+    feasible, arange(m, m + k) being the slack basis.  At the optimum x is
+    the dual price of each packing row, which is minus the reduced cost of
+    that row's slack.  Returns (x, z, final basis).
     """
     m, k = a.shape
     full = np.hstack([a.T, np.eye(k), np.ones((k, 1))])
     cost = np.concatenate([np.ones(m), np.zeros(k + 1)])
-    basis = np.arange(m, m + k) if basis is None else np.array(basis)
+    basis = np.array(basis)
     limit = 200 * (2 * m + k) + 1000
     degenerate = 0  # consecutive pivots with a step of at most PIVOT_TOL
     for pivots in range(limit):
@@ -133,13 +134,13 @@ def _solve_covering_lp(
 
 
 def solve_restricted_master(
-    n: int, rows: Collection[Set[int]], basis: dict[int, int] | None = None
+    n: int, rows: Collection[Set[int]], basis: dict[int, int]
 ) -> tuple[list[float], float]:
     """Optimal fractional weights for the current row set.
 
     Returns a full-length weight vector (vertices outside every row get 0)
-    and the objective, which equals the weight sum.  `basis`, when given,
-    maps each vertex of an earlier master, whose rows were a prefix of
+    and the objective, which equals the weight sum.  `basis` maps each
+    vertex of an earlier master ({} for none), whose rows were a prefix of
     `rows`, to its packing row's basic column: a row's index in `rows`, or ~v
     for the slack of vertex v.  The solve starts from it, with the slack of
     every vertex new to the master basic, and writes the final basis back
@@ -168,8 +169,7 @@ def solve_restricted_master(
             a[i, col[v]] = 1.0
     # Old rows keep their basic columns and a new vertex its slack, at 1; new
     # rows enter as nonbasic packing columns at 0, so this basis is feasible.
-    start = basis or {}
-    labels = [start.get(v, ~v) for v in active]
+    labels = [basis.get(v, ~v) for v in active]
     if any(c >= m or (c < 0 and ~c not in col) for c in labels):
         raise ValueError("basis names a column outside this master")
     columns = np.array([c if c >= 0 else m + col[~c] for c in labels], dtype=np.intp)
@@ -182,8 +182,7 @@ def solve_restricted_master(
             break
     else:
         raise NumericalFailure(f"master failed its optimality certificate by {max(residuals):.1e}")
-    if basis is not None:
-        basis.update((v, int(c) if c < m else ~active[c - m]) for v, c in zip(active, columns))
+    basis.update((v, int(c) if c < m else ~active[c - m]) for v, c in zip(active, columns))
     weights = [0.0] * n
     for v, i in col.items():
         weights[v] = float(y[i])
@@ -194,7 +193,6 @@ def solve_relaxation(
     circuit: Circuit,
     level: int,
     *,
-    max_iterations: int | None = None,
     trace: TextIO | None = None,
 ) -> LpResult:
     """Row generation until no interesting-path constraint is violated.
@@ -207,8 +205,7 @@ def solve_relaxation(
     """
     require_level(level)
     n = circuit.n
-    if max_iterations is None:
-        max_iterations = max(1, 10 * n * level)
+    max_iterations = max(1, ROUNDS_PER_VERTEX_LEVEL * n * level)
     rows: dict[frozenset[int], None] = {}  # insertion-ordered set
     basis: dict[int, int] = {}  # the last master's, carried into the next
     for iteration in range(1, max_iterations + 1):

@@ -70,6 +70,8 @@ def _round(
     t within MEMBERSHIP_TOL.  Each distinct mark set is checked once, at the
     first threshold giving it.
     """
+    if tables.circuit != circuit:
+        raise ValueError("tables were computed for a different circuit")
     lo, hi = tables.intervals
     distinct: list[tuple[int, float, np.ndarray]] = []
     seen: set[bytes] = set()

@@ -209,15 +209,16 @@ def test_acceptance_06_reduction_preserves_optimum(capsys):
     trials = 200
     for _ in range(trials):
         n = rng.randint(1, 8)
-        inst = random_dvd(n, level=rng.choice((2, 3)), seed=rng.randint(0, 10**9))
-        opt = exact_dvd(inst)
+        level = rng.choice((2, 3))
+        inst = random_dvd(n, seed=rng.randint(0, 10**9))
+        opt = exact_dvd(inst, level)
         rmap = reduce_to_circuit(inst)
-        result = exact_bootstrap(rmap.circuit, inst.level, max_subsets=1 << rmap.circuit.n)
+        result = exact_bootstrap(rmap.circuit, level, max_subsets=1 << rmap.circuit.n)
         if result.optimum != opt.optimum:
             violations += 1
             continue
-        back = pull_back(rmap, result.witness)
-        if not dvd_is_feasible(inst, back) or len(back) != opt.optimum:
+        back = pull_back(rmap, result.witness, level)
+        if not dvd_is_feasible(inst, back, level) or len(back) != opt.optimum:
             violations += 1
     elapsed = time.perf_counter() - start
     ok = violations == 0 and elapsed < 120

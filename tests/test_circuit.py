@@ -32,7 +32,7 @@ def test_empty_circuit_is_valid():
 
 def test_single_in_edge_rejected():
     with pytest.raises(IndegreeViolation) as info:
-        build("wr", (0, 1))
+        build("wr", (0, 1, 1))
     assert info.value.vertex == 1
     assert info.value.expected == 2
     assert info.value.actual == 1
@@ -40,9 +40,9 @@ def test_single_in_edge_rejected():
 
 def test_unnamed_vertices_carry_default_names():
     assert build("wr", (0, 1, 2)).names == ("v0", "v1")
-    assert validate_dvd(2, [(0, 1)], 2).names == ("v0", "v1")
+    assert validate_dvd(2, [(0, 1)]).names == ("v0", "v1")
     with pytest.raises(IndegreeViolation, match="^v1: expected indegree 2, got 1$"):
-        build("wr", (0, 1))
+        build("wr", (0, 1, 1))
 
 
 def test_white_with_in_edge_rejected():
@@ -58,17 +58,17 @@ def test_indegree_three_rejected():
 def test_cycle_rejected():
     # 1 and 2 feed each other; indegrees are fine, order is not.
     with pytest.raises(CycleDetected):
-        build("wbb", (0, 1), (2, 1), (1, 2, 2))
+        build("wbb", (0, 1, 1), (2, 1, 1), (1, 2, 2))
 
 
 def test_self_loop_rejected():
     with pytest.raises(CycleDetected):
-        build("wb", (0, 1), (1, 1))
+        build("wb", (0, 1, 1), (1, 1, 1))
 
 
 def test_dangling_edge_rejected():
     with pytest.raises(UnknownVertex):
-        build("wr", (0, 1), (5, 1))
+        build("wr", (0, 1, 1), (5, 1, 1))
 
 
 @pytest.mark.parametrize(
@@ -78,6 +78,7 @@ def test_dangling_edge_rejected():
         ([Color.WHITE], [], ["a", "b"]),  # names for a vertex that is not there
         ([Color.WHITE, Color.RED], [(0, 1, 2, 0)], None),  # edge of arity 4
         ([Color.WHITE, Color.RED], [(0, 1, 0)], None),  # multiplicity 0
+        ([Color.WHITE, Color.RED], [(0, 1), (0, 1)], None),  # edges of arity 2
     ],
 )
 def test_malformed_input_rejected(colors, edges, names):
@@ -86,7 +87,7 @@ def test_malformed_input_rejected(colors, edges, names):
 
 
 def test_parallel_edges_aggregate():
-    c = build("wr", (0, 1), (0, 1))
+    c = build("wr", (0, 1, 1), (0, 1, 1))
     assert c.edges == ((0, 1, 2),)
     assert c.edge_count == 2
 
@@ -99,16 +100,16 @@ def test_edges_are_derived_from_preds(parts, rnd):
     colors, edges = parts
     raw = []
     for src, dst, m in edges:
-        raw += [(src, dst), (src, dst, 1)] if m == 2 and rnd.random() < 0.5 else [(src, dst, m)]
+        raw += [(src, dst, 1)] * 2 if m == 2 and rnd.random() < 0.5 else [(src, dst, m)]
     rnd.shuffle(raw)
     mult = Counter()
-    for e in raw:
-        mult[e[:2]] += e[2] if len(e) == 3 else 1
+    for src, dst, m in raw:
+        mult[src, dst] += m
     c = validate(colors, raw)
     assert c.edges == tuple(sorted((s, d, m) for (s, d), m in mult.items()))
     gates = sum(1 for color in colors if color is not Color.WHITE)
     assert c.edge_count == sum(mult.values()) == 2 * gates
-    assert validate_dvd(c.n, [e[:2] for e in raw], 2).edges == tuple(sorted(mult))
+    assert validate_dvd(c.n, [e[:2] for e in raw]).edges == tuple(sorted(mult))
 
 
 def test_topo_order_recomputed_from_scrambled_input():

@@ -219,18 +219,17 @@ def test_reductions_and_witnesses_are_frozen(tmp_path, capsys):
     rng = random.Random(1111)
     digest = hashlib.sha256()
     for _ in range(40):
-        inst = generate.random_dvd(
-            rng.randint(1, 6), rng.choice((2, 3)), rng.randint(0, 10**6), 0.5
-        )
+        n, level = rng.randint(1, 6), rng.choice((2, 3))  # the digest pins this draw order
+        inst = generate.random_dvd(n, rng.randint(0, 10**6), 0.5)
         path = write(tmp_path, "h.dvd", formats.format_dvd(inst))
-        assert main(["reduce-dvd", path, "--level", str(inst.level)]) == 0
+        assert main(["reduce-dvd", path]) == 0
         digest.update(capsys.readouterr().out.encode())
         rmap = reduce_to_circuit(inst)
-        deleted = exact_dvd(inst)
-        marked = exact_bootstrap(rmap.circuit, inst.level, max_subsets=1 << rmap.circuit.n)
+        deleted = exact_dvd(inst, level)
+        marked = exact_bootstrap(rmap.circuit, level, max_subsets=1 << rmap.circuit.n)
         witnesses = (deleted.optimum, deleted.explored, sorted(deleted.witness),
                      marked.optimum, marked.explored, sorted(marked.witness),
-                     sorted(pull_back(rmap, marked.witness)))
+                     sorted(pull_back(rmap, marked.witness, level)))
         digest.update(repr(witnesses).encode())
     assert digest.hexdigest() == (
         "fd35006d6a28ed19aecf7e913691b9b3c2b90c946977dc1983178b533c2dbdd5"
@@ -245,8 +244,7 @@ def test_unwritable_outputs_exit_2(tmp_path, capsys):
         ["solve", circuit, "--level", "1", "--out", missing],
         ["solve", circuit, "--level", "1", "--trace", missing],
         ["gen", "--kind", "red-chain", "--out", missing],
-        ["reduce-dvd", dvd, "--level", "2", "--out", str(tmp_path / "r.txt"),
-         "--map-out", missing],
+        ["reduce-dvd", dvd, "--out", str(tmp_path / "r.txt"), "--map-out", missing],
     ]
     for argv in runs:
         assert main(argv) == 2
@@ -317,12 +315,32 @@ def test_solve_checks_the_level_before_parsing(tmp_path, capsys):
     assert "purple" not in err
 
 
-def test_reduce_dvd_checks_the_level_before_parsing(tmp_path, capsys):
-    bad = write(tmp_path, "bad.dvd", "node a\nbogus\n")
-    assert main(["reduce-dvd", bad, "--level", "1"]) == 2
-    err = capsys.readouterr().err
-    assert "error: DVD level must be an integer >= 2" in err
-    assert "bogus" not in err
+def test_reduce_dvd_takes_no_level(tmp_path, capsys):
+    # The reduction is the same for every level, so the option is gone.
+    dvd = write(tmp_path, "h.txt", FAN_IN_DVD)
+    with pytest.raises(SystemExit) as info:
+        main(["reduce-dvd", dvd, "--level", "2"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --level 2" in capsys.readouterr().err
+
+
+def test_outputs_sharing_a_path_exit_2(tmp_path, capsys):
+    circuit = write(tmp_path, "c.txt", CHAIN)
+    dvd = write(tmp_path, "h.txt", FAN_IN_DVD)
+    shared = tmp_path / "shared.txt"
+    same = f"{tmp_path}/./shared.txt"  # another spelling of the same path
+    runs = [
+        ["solve", circuit, "--level", "3", "--out", str(shared), "--trace", str(shared)],
+        ["solve", circuit, "--level", "3", "--out", str(shared), "--trace", same],
+        ["reduce-dvd", dvd, "--out", str(shared), "--map-out", same],
+    ]
+    for argv in runs:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"error: outputs {shared} and " in captured.err
+        assert captured.err.rstrip().endswith("are the same file")
+        assert captured.out == ""
+        assert not shared.exists()  # refused before any work
 
 
 def test_reduce_dvd_to_files(tmp_path):
@@ -330,7 +348,7 @@ def test_reduce_dvd_to_files(tmp_path):
     out = tmp_path / "reduced.txt"
     map_out = tmp_path / "reduced.map"
     code = main(
-        ["reduce-dvd", dvd, "--level", "2", "--out", str(out), "--map-out", str(map_out)]
+        ["reduce-dvd", dvd, "--out", str(out), "--map-out", str(map_out)]
     )
     assert code == 0
     reduced = formats.parse_circuit(out.read_text())
@@ -348,13 +366,13 @@ def test_reduce_dvd_to_files(tmp_path):
 def test_reduce_dvd_default_map_path(tmp_path):
     dvd = write(tmp_path, "h.txt", FAN_IN_DVD)
     out = tmp_path / "reduced.txt"
-    assert main(["reduce-dvd", dvd, "--level", "2", "--out", str(out)]) == 0
+    assert main(["reduce-dvd", dvd, "--out", str(out)]) == 0
     assert (tmp_path / "reduced.txt.map").exists()
 
 
 def test_reduce_dvd_to_stdout(tmp_path, capsys):
     dvd = write(tmp_path, "h.txt", FAN_IN_DVD)
-    assert main(["reduce-dvd", dvd, "--level", "2"]) == 0
+    assert main(["reduce-dvd", dvd]) == 0
     out = capsys.readouterr().out
     assert "node s0 white" in out
     assert "gadget\td\tw1(d) w2(d) w3(d)" in out

@@ -21,16 +21,26 @@ from bootplan.generate import layered, random_circuit, random_dvd
 from strategies import build
 
 
-def test_validate_dvd_rejects_small_level():
-    with pytest.raises(ValueError):
-        validate_dvd(2, [(0, 1)], 1)
+def test_dvd_checks_reject_small_level():
+    # An instance holds no level; every check against one rejects L < 2,
+    # exact_dvd even when its search would never call the check.
+    inst = validate_dvd(2, [(0, 1)])
+    rmap = reduce_to_circuit(inst)
+    for check in (
+        lambda: dvd_is_feasible(inst, frozenset(), 1),
+        lambda: exact_dvd(validate_dvd(0, []), 1),
+        lambda: pull_back(rmap, frozenset(range(rmap.circuit.n)), 1),
+        lambda: push_forward(rmap, frozenset({0, 1}), 1),
+    ):
+        with pytest.raises(ValueError, match="^DVD level must be an integer >= 2, got 1$"):
+            check()
 
 
 def test_validate_dvd_rejects_unknown_and_cycles():
     with pytest.raises(UnknownVertex):
-        validate_dvd(2, [(0, 2)], 2)
+        validate_dvd(2, [(0, 2)])
     with pytest.raises(CycleDetected):
-        validate_dvd(2, [(0, 1), (1, 0)], 2)
+        validate_dvd(2, [(0, 1), (1, 0)])
 
 
 def test_deletion_instances_share_the_circuit_graph_order():
@@ -39,26 +49,26 @@ def test_deletion_instances_share_the_circuit_graph_order():
     circuits = [layered(5, 6, 0.4, s) for s in range(4)]
     circuits += [random_circuit(25, s) for s in range(4)]
     for c in circuits:
-        inst = validate_dvd(c.n, [(s, d) for s, d, _ in c.edges], 2)
+        inst = validate_dvd(c.n, [(s, d) for s, d, _ in c.edges])
         assert inst.topo == c.topo
         assert inst.preds == c.preds
 
 
 def test_cycle_messages_name_the_graph_kind():
     with pytest.raises(CycleDetected, match="^circuit graph contains a cycle$"):
-        build("wbb", (0, 1), (2, 1), (1, 2, 2))
+        build("wbb", (0, 1, 1), (2, 1, 1), (1, 2, 2))
     with pytest.raises(CycleDetected, match="^deletion instance contains a cycle$"):
-        validate_dvd(2, [(0, 1), (1, 0)], 2)
+        validate_dvd(2, [(0, 1), (1, 0)])
 
 
 def test_duplicate_edges_collapse():
-    inst = validate_dvd(2, [(0, 1), (0, 1)], 2)
+    inst = validate_dvd(2, [(0, 1), (0, 1)])
     assert inst.edges == ((0, 1),)
     assert inst.preds[1] == (0,)
 
 
 def test_reduce_single_vertex():
-    rmap = reduce_to_circuit(validate_dvd(1, [], 2))
+    rmap = reduce_to_circuit(validate_dvd(1, []))
     c = rmap.circuit
     assert c.n == 3
     assert [c.colors[v] for v in range(3)] == [Color.RED, Color.WHITE, Color.RED]
@@ -71,7 +81,7 @@ def test_reduce_single_vertex():
 
 
 def test_reduce_path_instance():
-    rmap = reduce_to_circuit(validate_dvd(3, [(0, 1), (1, 2)], 2))
+    rmap = reduce_to_circuit(validate_dvd(3, [(0, 1), (1, 2)]))
     c = rmap.circuit
     assert c.n == 7
     assert rmap.source == 3
@@ -89,7 +99,7 @@ def test_reduce_path_instance():
 
 
 def fan_in_map():
-    return reduce_to_circuit(validate_dvd(4, [(0, 3), (1, 3), (2, 3)], 2))
+    return reduce_to_circuit(validate_dvd(4, [(0, 3), (1, 3), (2, 3)]))
 
 
 def test_reduce_fan_in_builds_blue_chain():
@@ -122,14 +132,14 @@ def test_reduction_size_formula():
     rng = random.Random(21)
     for trial in range(30):
         n = rng.randint(1, 8)
-        inst = random_dvd(n, level=2, seed=rng.randint(0, 10**6), edge_probability=0.5)
+        inst = random_dvd(n, seed=rng.randint(0, 10**6), edge_probability=0.5)
         c = reduce_to_circuit(inst).circuit
         gadget = sum(len(inst.preds[v]) for v in range(n) if len(inst.preds[v]) >= 3)
         assert c.n == 2 * n + 1 + gadget
 
 
 def test_fresh_names_never_collide():
-    rmap = reduce_to_circuit(validate_dvd(2, [(0, 1)], 2, names=["s0", "clone(s0)"]))
+    rmap = reduce_to_circuit(validate_dvd(2, [(0, 1)], names=["s0", "clone(s0)"]))
     names = [rmap.circuit.name_of(v) for v in range(rmap.circuit.n)]
     assert len(set(names)) == len(names)
     assert names[rmap.source] == "s0_"
@@ -141,36 +151,37 @@ def test_interesting_paths_visit_originals():
     rng = random.Random(33)
     for trial in range(20):
         n = rng.randint(1, 6)
-        inst = random_dvd(n, level=rng.choice((2, 3)), seed=rng.randint(0, 10**6))
+        level = rng.choice((2, 3))
+        inst = random_dvd(n, seed=rng.randint(0, 10**6))
         rmap = reduce_to_circuit(inst)
-        paths = oracles.interesting_paths_brute(rmap.circuit, inst.level)
+        paths = oracles.interesting_paths_brute(rmap.circuit, level)
         for path in paths:
             for v in path[:-1]:
                 if rmap.circuit.colors[v] is Color.RED:
                     assert v < inst.n
         # An interesting path exists exactly when the instance still has a
         # directed path with `level` vertices.
-        assert bool(paths) == (not dvd_is_feasible(inst, frozenset()))
+        assert bool(paths) == (not dvd_is_feasible(inst, frozenset(), level))
 
 
 def test_pull_back_relocates_gadget_marks():
     rmap = fan_in_map()
-    assert pull_back(rmap, frozenset({11})) == frozenset({3})
-    assert pull_back(rmap, frozenset({9, 11})) == frozenset({3})
-    assert pull_back(rmap, frozenset({3})) == frozenset({3})
+    assert pull_back(rmap, frozenset({11}), 2) == frozenset({3})
+    assert pull_back(rmap, frozenset({9, 11}), 2) == frozenset({3})
+    assert pull_back(rmap, frozenset({3}), 2) == frozenset({3})
 
 
 def test_pull_back_drops_clones():
-    rmap = reduce_to_circuit(validate_dvd(3, [(0, 1), (1, 2)], 2))
+    rmap = reduce_to_circuit(validate_dvd(3, [(0, 1), (1, 2)]))
     marks = frozenset({1, 5})
     assert is_feasible_by_levels(rmap.circuit, marks, 2)
-    assert pull_back(rmap, marks) == frozenset({1})
+    assert pull_back(rmap, marks, 2) == frozenset({1})
 
 
 def test_pull_back_rejects_infeasible_marks():
     rmap = fan_in_map()
     with pytest.raises(InfeasibleInput):
-        pull_back(rmap, frozenset({9}))
+        pull_back(rmap, frozenset({9}), 2)
 
 
 def test_single_relocation_preserves_feasibility():
@@ -192,27 +203,28 @@ def test_single_relocation_preserves_feasibility():
 
 def test_push_forward_checks_deletion_feasibility():
     rmap = fan_in_map()
-    marks = push_forward(rmap, frozenset({3}))
+    marks = push_forward(rmap, frozenset({3}), 2)
     assert marks == frozenset({3})
     assert is_feasible_by_levels(rmap.circuit, marks, 2)
     with pytest.raises(InfeasibleInput):
-        push_forward(rmap, frozenset({0}))
+        push_forward(rmap, frozenset({0}), 2)
 
 
 def test_optima_agree_on_random_instances():
     rng = random.Random(41)
     for trial in range(25):
         n = rng.randint(1, 6)
-        inst = random_dvd(n, level=rng.choice((2, 3)), seed=rng.randint(0, 10**6))
-        opt = exact_dvd(inst)
+        level = rng.choice((2, 3))
+        inst = random_dvd(n, seed=rng.randint(0, 10**6))
+        opt = exact_dvd(inst, level)
         rmap = reduce_to_circuit(inst)
-        result = exact_bootstrap(rmap.circuit, inst.level, max_subsets=1 << rmap.circuit.n)
+        result = exact_bootstrap(rmap.circuit, level, max_subsets=1 << rmap.circuit.n)
         assert result.optimum == opt.optimum
 
-        back = pull_back(rmap, result.witness)
-        assert dvd_is_feasible(inst, back)
+        back = pull_back(rmap, result.witness, level)
+        assert dvd_is_feasible(inst, back, level)
         assert len(back) <= result.optimum
 
-        forward = push_forward(rmap, opt.witness)
+        forward = push_forward(rmap, opt.witness, level)
         assert len(forward) == opt.optimum
-        assert is_feasible_by_levels(rmap.circuit, forward, inst.level)
+        assert is_feasible_by_levels(rmap.circuit, forward, level)

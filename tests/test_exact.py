@@ -62,12 +62,12 @@ def test_subset_cap_below_one_rejected(cap):
     with pytest.raises(ValueError, match="subset cap must be >= 1"):
         exact_bootstrap(red_chain4(), 1, max_subsets=cap)
     with pytest.raises(ValueError, match="subset cap must be >= 1"):
-        exact_dvd(validate_dvd(2, [(0, 1)], 2), max_subsets=cap)
+        exact_dvd(validate_dvd(2, [(0, 1)]), 2, max_subsets=cap)
 
 
 def test_empty_pools_answer():
     assert exact_bootstrap(build("ww"), 1) == ExactResult(0, frozenset(), 1)
-    assert exact_dvd(validate_dvd(0, [], 2)) == ExactResult(0, frozenset(), 1)
+    assert exact_dvd(validate_dvd(0, []), 2) == ExactResult(0, frozenset(), 1)
 
 
 @PROPERTY
@@ -90,12 +90,12 @@ def test_optimum_matches_path_based_enumeration(circuit):
 # --- deletion instances -----------------------------------------------------
 
 
-def path_dvd(level):
-    return validate_dvd(4, [(0, 1), (1, 2), (2, 3)], level)
+def path_dvd():
+    return validate_dvd(4, [(0, 1), (1, 2), (2, 3)])
 
 
 def test_longest_path_counts_vertices():
-    inst = path_dvd(2)
+    inst = path_dvd()
     assert longest_path_vertices(inst, frozenset()) == 4
     assert longest_path_vertices(inst, {1}) == 2
     assert longest_path_vertices(inst, {1, 2}) == 1
@@ -103,17 +103,17 @@ def test_longest_path_counts_vertices():
 
 
 def test_dvd_feasibility_threshold():
-    assert not dvd_is_feasible(path_dvd(2), {1})
-    assert dvd_is_feasible(path_dvd(3), {1})
+    assert not dvd_is_feasible(path_dvd(), {1}, 2)
+    assert dvd_is_feasible(path_dvd(), {1}, 3)
 
 
 def test_exact_dvd_on_a_path():
-    result = exact_dvd(path_dvd(2))
+    result = exact_dvd(path_dvd(), 2)
     assert result.optimum == 2
     assert result.witness == frozenset({0, 2})
     assert result.explored == 1 + 4 + 2
 
-    result = exact_dvd(path_dvd(3))
+    result = exact_dvd(path_dvd(), 3)
     assert result.optimum == 1
     assert result.witness == frozenset({1})
     assert result.explored == 1 + 2
@@ -121,17 +121,17 @@ def test_exact_dvd_on_a_path():
 
 def test_exact_dvd_cap():
     # Four vertices, 16 subsets: a cap of 15 refuses the search up front.
-    inst = path_dvd(2)
+    inst = path_dvd()
     with pytest.raises(TooLarge):
-        exact_dvd(inst, max_subsets=15)
-    assert exact_dvd(inst, max_subsets=16).optimum == 2
+        exact_dvd(inst, 2, max_subsets=15)
+    assert exact_dvd(inst, 2, max_subsets=16).optimum == 2
 
 
 def test_longest_path_matches_brute_force():
     rng = random.Random(3)
     for trial in range(40):
         n = rng.randint(1, 7)
-        inst = random_dvd(n, level=2, seed=rng.randint(0, 10**6))
+        inst = random_dvd(n, seed=rng.randint(0, 10**6))
         deleted = frozenset(v for v in range(n) if rng.random() < 0.3)
         assert longest_path_vertices(inst, deleted) == oracles.longest_path_brute(
             inst, deleted
@@ -142,9 +142,10 @@ def test_exact_dvd_witness_is_minimal():
     rng = random.Random(9)
     for trial in range(25):
         n = rng.randint(1, 6)
-        inst = random_dvd(n, level=rng.choice((2, 3)), seed=rng.randint(0, 10**6))
-        result = exact_dvd(inst)
-        assert dvd_is_feasible(inst, result.witness)
+        level = rng.choice((2, 3))
+        inst = random_dvd(n, seed=rng.randint(0, 10**6))
+        result = exact_dvd(inst, level)
+        assert dvd_is_feasible(inst, result.witness, level)
         for smaller in combinations(range(n), max(result.optimum - 1, 0)):
             if result.optimum:
-                assert not dvd_is_feasible(inst, frozenset(smaller))
+                assert not dvd_is_feasible(inst, frozenset(smaller), level)

@@ -109,24 +109,24 @@ def test_empty_circuit_file():
     [["a", "a", "b"], ["a", "", "b"], ["a", "b c", "d"], ["a", "b\tc", "d"], ["a#", "b", "c"]],
 )
 def test_writers_reject_names_that_do_not_read_back(names):
-    circuit = validate([Color.WHITE, Color.RED, Color.BLUE], [(0, 1, 2), (0, 2), (1, 2)], names)
+    colors = [Color.WHITE, Color.RED, Color.BLUE]
+    circuit = validate(colors, [(0, 1, 2), (0, 2, 1), (1, 2, 1)], names)
     with pytest.raises(ValueError, match="node name"):
         format_circuit(circuit)
     with pytest.raises(ValueError, match="node name"):
-        format_dvd(validate_dvd(3, [(0, 1)], 2, names))
+        format_dvd(validate_dvd(3, [(0, 1)], names))
 
 
 def test_parse_dvd_roundtrip():
-    d = random_dvd(9, level=3, seed=11)
+    d = random_dvd(9, seed=11)
     text = format_dvd(d)
-    again = parse_dvd(text, level=3)
+    again = parse_dvd(text)
     assert again.edges == d.edges
-    assert again.level == 3
     assert format_dvd(again) == text
 
 
 def test_parse_dvd_duplicate_edges_collapse():
-    d = parse_dvd("node a\nnode b\nedge a b\nedge a b\n", level=2)
+    d = parse_dvd("node a\nnode b\nedge a b\nedge a b\n")
     assert d.edges == ((0, 1),)
 
 
@@ -141,11 +141,9 @@ def test_parse_dvd_errors():
         ("edge a ghost\nnode a\nnode a\n", 3),
     ]:
         with pytest.raises(ParseError) as info:
-            parse_dvd(text, level=2, source="bad.dvd")
+            parse_dvd(text, source="bad.dvd")
         assert info.value.line == line
         assert str(info.value).startswith(f"bad.dvd:{line}: ")
-    with pytest.raises(ValueError):
-        parse_dvd("node a\n", level=1)
 
 
 def test_marks_roundtrip_and_errors():
@@ -172,8 +170,8 @@ def test_loaded_graphs_are_frozen():
     for s in range(20):
         for c in (layered(5, 6, 0.4, s), random_circuit(25, s)):
             graphs += [c, parse_circuit(shuffled(format_circuit(c), s))]
-        d = random_dvd(9, 3, s)
-        graphs += [d, parse_dvd(shuffled(format_dvd(d), s), 3), reduce_to_circuit(d).circuit]
+        d = random_dvd(9, s)
+        graphs += [d, parse_dvd(shuffled(format_dvd(d), s)), reduce_to_circuit(d).circuit]
     digest = hashlib.sha256()
     for g in graphs:
         digest.update(repr((g.topo, g.preds)).encode())

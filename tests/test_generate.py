@@ -61,8 +61,8 @@ def test_generators_are_seed_deterministic():
         a = random_circuit(15, seed)
         b = random_circuit(15, seed)
         assert a.edges == b.edges and a.colors == b.colors
-        a = random_dvd(8, 2, seed)
-        b = random_dvd(8, 2, seed)
+        a = random_dvd(8, seed)
+        b = random_dvd(8, seed)
         assert a.edges == b.edges
 
 
@@ -92,9 +92,8 @@ def test_random_circuit_accepts_shared_rng():
 
 
 def test_random_dvd_edges_are_forward():
-    inst = random_dvd(10, 3, seed=5, edge_probability=0.5)
+    inst = random_dvd(10, seed=5, edge_probability=0.5)
     assert all(u < v for u, v in inst.edges)
-    assert inst.level == 3
 
 
 @pytest.mark.parametrize("bad", [-0.1, 1.5, 7.0, float("nan")])
@@ -104,7 +103,7 @@ def test_fractions_outside_unit_interval_rejected(bad):
         (lambda: series_parallel(10, bad, 0), "red_fraction"),
         (lambda: random_circuit(5, 0, white_fraction=bad), "white_fraction"),
         (lambda: random_circuit(5, 0, red_fraction=bad), "red_fraction"),
-        (lambda: random_dvd(5, 2, 0, edge_probability=bad), "edge_probability"),
+        (lambda: random_dvd(5, 0, edge_probability=bad), "edge_probability"),
     ]
     for call, name in calls:
         with pytest.raises(ValueError, match=f"{name} must be in \\[0, 1\\]"):
@@ -126,7 +125,7 @@ def test_generator_output_is_frozen():
     for s in range(50):
         digest.update(format_circuit(layered(8, 9, 0.4, s)).encode())
         digest.update(format_circuit(random_circuit(30, s)).encode())
-        digest.update(format_dvd(random_dvd(10, 3, s)).encode())
+        digest.update(format_dvd(random_dvd(10, s)).encode())
     assert digest.hexdigest() == (
         "ebf357c10efbc0ff96345ee3c8f7899d0210eaafbd29c5dc1eba479d35afcf32"
     )

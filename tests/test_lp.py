@@ -40,13 +40,13 @@ def scipy_covering_optimum(rows, n):
 
 
 def test_no_rows_means_zero():
-    weights, objective = solve_restricted_master(4, [])
+    weights, objective = solve_restricted_master(4, [], {})
     assert weights == [0.0] * 4
     assert objective == 0.0
 
 
 def test_single_row_costs_one():
-    weights, objective = solve_restricted_master(3, [frozenset({0, 2})])
+    weights, objective = solve_restricted_master(3, [frozenset({0, 2})], {})
     assert objective == pytest.approx(1.0, abs=1e-9)
     assert weights[0] + weights[2] == pytest.approx(1.0, abs=1e-9)
     assert weights[1] == 0.0
@@ -55,7 +55,7 @@ def test_single_row_costs_one():
 def test_triangle_rows_cost_three_halves():
     # {a,b}, {b,c}, {a,c}: every pair must sum to 1, optimum x = 1/2 each.
     rows = [frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 2})]
-    weights, objective = solve_restricted_master(3, rows)
+    weights, objective = solve_restricted_master(3, rows, {})
     assert objective == pytest.approx(1.5, abs=1e-9)
     # Second route: exhaustive vertex enumeration of the 3-constraint polytope.
     assert oracles.covering_lp_by_vertex_enumeration(rows, 3) == pytest.approx(1.5)
@@ -65,12 +65,12 @@ def test_triangle_rows_cost_three_halves():
 
 def test_disjoint_rows_add_up():
     rows = [frozenset({0, 1}), frozenset({2}), frozenset({3, 4, 5})]
-    _, objective = solve_restricted_master(6, rows)
+    _, objective = solve_restricted_master(6, rows, {})
     assert objective == pytest.approx(3.0, abs=1e-9)
 
 
 def test_duplicate_vertex_row_requires_full_unit():
-    weights, objective = solve_restricted_master(2, [frozenset({1})])
+    weights, objective = solve_restricted_master(2, [frozenset({1})], {})
     assert weights[1] == pytest.approx(1.0)
     assert objective == pytest.approx(1.0)
 
@@ -80,13 +80,13 @@ def test_simplex_iteration_cap_raises(monkeypatch):
     # and pivots onto itself, so only the iteration cap ends the loop.
     monkeypatch.setattr(lp, "_REDCOST_TOL", -1.0)
     with pytest.raises(IterationLimitExceeded):
-        solve_restricted_master(3, [frozenset({0, 2})])
+        solve_restricted_master(3, [frozenset({0, 2})], {})
 
 
 def test_master_returns_its_packing_certificate():
     # An odd cycle of pairs: x = z = 1/2 everywhere, objective 3/2.
     a = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]])
-    x, z, _ = lp._solve_covering_lp(a)
+    x, z, _ = lp._solve_covering_lp(a, np.arange(3, 6))  # the slack basis
     assert x == pytest.approx([0.5] * 3, abs=1e-12)
     assert z == pytest.approx([0.5] * 3, abs=1e-12)
 
@@ -97,7 +97,7 @@ def test_uncertified_master_raises(monkeypatch):
     monkeypatch.setattr(lp, "_REDCOST_TOL", 0.9)
     rows = [frozenset(r) for r in ({0, 1}, {0, 2}, {0, 3}, {1, 2})]
     with pytest.raises(NumericalFailure, match="certificate"):
-        solve_restricted_master(4, rows)
+        solve_restricted_master(4, rows, {})
 
 
 def test_bad_start_basis_raises():
@@ -172,7 +172,7 @@ def test_warm_started_master_matches_cold_and_highs(monkeypatch, bland_after):
         basis: dict[int, int] = {}
         for rows in masters:
             warm_weights, warm = solve_restricted_master(n, rows, basis)
-            _, cold = solve_restricted_master(n, rows)
+            _, cold = solve_restricted_master(n, rows, {})
             assert set(basis) == set().union(*rows)
             assert warm == pytest.approx(cold, abs=1e-9)
             assert warm == pytest.approx(scipy_covering_optimum(rows, n), abs=1e-9)
@@ -182,12 +182,12 @@ def test_warm_started_master_matches_cold_and_highs(monkeypatch, bland_after):
 
 def test_empty_row_rejected():
     with pytest.raises(ValueError):
-        solve_restricted_master(2, [frozenset()])
+        solve_restricted_master(2, [frozenset()], {})
 
 
 def test_row_outside_range_rejected():
     with pytest.raises(ValueError):
-        solve_restricted_master(2, [frozenset({5})])
+        solve_restricted_master(2, [frozenset({5})], {})
 
 
 def test_master_solution_is_feasible_and_bounded():
@@ -198,7 +198,7 @@ def test_master_solution_is_feasible_and_bounded():
             frozenset(rng.sample(range(n), rng.randint(1, min(4, n))))
             for _ in range(rng.randint(1, 10))
         ]
-        weights, objective = solve_restricted_master(n, rows)
+        weights, objective = solve_restricted_master(n, rows, {})
         assert all(-1e-9 <= w <= 1 + 1e-9 for w in weights)
         for row in rows:
             assert sum(weights[v] for v in row) >= 1.0 - 1e-7
@@ -214,7 +214,7 @@ def test_master_matches_vertex_enumeration_on_small_lps():
             frozenset(rng.sample(range(n), rng.randint(1, n)))
             for _ in range(rng.randint(1, 4))
         ]
-        _, objective = solve_restricted_master(n, rows)
+        _, objective = solve_restricted_master(n, rows, {})
         expected = oracles.covering_lp_by_vertex_enumeration(rows, n)
         assert objective == pytest.approx(expected, abs=1e-9)
 
@@ -239,7 +239,7 @@ def test_master_matches_highs_at_master_scale():
                     rows.append(frozenset(base) | {rng.randrange(n)})
             else:
                 rows.append(frozenset(rng.sample(range(n), rng.randint(2, 8))))
-        weights, objective = solve_restricted_master(n, rows)
+        weights, objective = solve_restricted_master(n, rows, {})
         assert all(0.0 <= w <= 1.0 for w in weights)
         for row in rows:
             assert sum(weights[v] for v in row) >= 1.0 - 1e-7
@@ -362,10 +362,13 @@ def test_trace_lines_and_monotone_objective():
     assert int(lines[-1].split("\t")[2]) == 0
 
 
-def test_iteration_limit_raises():
+def test_iteration_limit_raises(monkeypatch):
+    # The cap is max(1, ROUNDS_PER_VERTEX_LEVEL * n * level): one round here,
+    # and the chain needs more.
+    monkeypatch.setattr(lp, "ROUNDS_PER_VERTEX_LEVEL", 0)
     c = build("wrrrr", *[(i, i + 1, 2) for i in range(4)])
-    with pytest.raises(IterationLimitExceeded):
-        solve_relaxation(c, 1, max_iterations=1)
+    with pytest.raises(IterationLimitExceeded, match="exceeded 1 iterations"):
+        solve_relaxation(c, 1)
 
 
 @PROPERTY

@@ -44,7 +44,7 @@ def test_no_interesting_paths_when_budget_exceeds_depth():
 
 def test_blue_interiors_are_traversed():
     # w r b r : the blue vertex sits inside the only interesting path.
-    c = build("wrbr", (0, 1, 2), (1, 2, 2), (2, 3), (1, 3))
+    c = build("wrbr", (0, 1, 2), (1, 2, 2), (2, 3, 1), (1, 3, 1))
     assert oracles.interesting_paths_brute(c, 1) == [(1, 2, 3), (1, 3)]
 
 
@@ -106,7 +106,7 @@ def test_blue_distances_red_interior_blocks():
 
 def test_blue_distances_pick_cheaper_route():
     # u -> b1 -> b3 and u -> b2 -> b3 with asymmetric weights.
-    c = build("wrbbb", (0, 1, 2), (1, 2, 2), (1, 3, 2), (2, 4), (3, 4))
+    c = build("wrbbb", (0, 1, 2), (1, 2, 2), (1, 3, 2), (2, 4, 1), (3, 4, 1))
     t = level_lengths(c, 1, [0.0, 0.1, 0.7, 0.2, 0.0])
     assert t.lengths[1][4] == pytest.approx(0.3)  # via b2: x_u + x_b2
 
@@ -135,7 +135,7 @@ def test_intervals_are_levels_one_to_budget_plus_weights():
 
 
 def test_table_red_base_and_white_rows():
-    c = build("wrbr", (0, 1, 2), (1, 2, 2), (2, 3), (1, 3))
+    c = build("wrbr", (0, 1, 2), (1, 2, 2), (2, 3, 1), (1, 3, 1))
     t = level_lengths(c, 2, [0.0, 0.25, 0.5, 0.0])
     for i in range(1, 4):
         assert t.lengths[i][0] == math.inf

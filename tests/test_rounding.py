@@ -9,7 +9,7 @@ from hypothesis import given, settings
 
 from bootplan.circuit import Color, eval_levels, is_feasible_by_levels
 from bootplan.errors import NoFeasibleCandidate
-from bootplan.generate import random_circuit
+from bootplan.generate import layered, random_circuit, red_chain
 from bootplan.lp import solve_relaxation
 from bootplan.paths import level_lengths
 from bootplan.rounding import breakpoints, derandomized_round, randomized_round
@@ -119,6 +119,17 @@ def test_budget_mismatch_rejected():
         derandomized_round(c, 2, tables)
     with pytest.raises(ValueError):
         randomized_round(c, 2, tables, seed=0)
+
+
+def test_circuit_mismatch_rejected():
+    # Same budget, another circuit: rounding must not read the chain's table
+    # as if it were the layered circuit's.
+    tables = solve_relaxation(red_chain(7), 3).tables
+    other = layered(2, 4, 1.0, 2)
+    with pytest.raises(ValueError, match="different circuit"):
+        derandomized_round(other, 3, tables)
+    with pytest.raises(ValueError, match="different circuit"):
+        randomized_round(other, 3, tables, seed=0)
 
 
 @PROPERTY
