@@ -6,24 +6,15 @@ noise level ever exceeds L.  The main pipeline is an LP relaxation over
 interesting-path covering constraints, solved by row generation, followed
 by level-indexed threshold rounding whose derandomized form is an
 L-approximation (optimal for L = 1); `plan` runs it, or another method,
-end to end.  Exhaustive oracles and simple baselines are included, as is
+end to end.  An exhaustive optimum and simple baselines are included, as is
 the approximation-preserving reduction from DAG vertex deletion.
 """
 
 from .baselines import after_every_red, greedy_topological
 from .circuit import Circuit, Color, eval_levels, is_feasible_by_levels, validate
-from .dvd import (
-    DvdInstance,
-    ReductionMap,
-    dvd_is_feasible,
-    longest_path_vertices,
-    pull_back,
-    push_forward,
-    reduce_to_circuit,
-    validate_dvd,
-)
-from .exact import ExactResult, exact_bootstrap, exact_dvd
-from .generate import layered, random_circuit, random_dvd, red_chain, series_parallel
+from .dvd import DvdInstance, ReductionMap, reduce_to_circuit, validate_dvd
+from .exact import ExactResult, exact_bootstrap
+from .generate import layered, random_circuit, red_chain, series_parallel
 from .lp import LpResult, solve_relaxation, solve_restricted_master
 from .paths import LevelTables, backtrack_interesting_path, level_lengths
 from .pipeline import Plan, plan
@@ -43,20 +34,14 @@ __all__ = [
     "backtrack_interesting_path",
     "breakpoints",
     "derandomized_round",
-    "dvd_is_feasible",
     "eval_levels",
     "exact_bootstrap",
-    "exact_dvd",
     "greedy_topological",
     "is_feasible_by_levels",
     "layered",
     "level_lengths",
-    "longest_path_vertices",
     "plan",
-    "pull_back",
-    "push_forward",
     "random_circuit",
-    "random_dvd",
     "randomized_round",
     "red_chain",
     "reduce_to_circuit",

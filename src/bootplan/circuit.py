@@ -73,10 +73,10 @@ class Circuit:
         return self.names[v]
 
 
-def require_level(level: int, least: int = 1, what: str = "noise budget") -> None:
-    """Noise budgets are integers >= 1 (DVD levels >= 2), checked at the boundary."""
-    if not isinstance(level, int) or isinstance(level, bool) or level < least:
-        raise ValueError(f"{what} must be an integer >= {least}, got {level!r}")
+def require_level(level: int) -> None:
+    """Noise budgets are integers >= 1, checked at the boundary."""
+    if not isinstance(level, int) or isinstance(level, bool) or level < 1:
+        raise ValueError(f"noise budget must be an integer >= 1, got {level!r}")
 
 
 def name_tuple(names: Iterable[str] | None, n: int) -> tuple[str, ...]:

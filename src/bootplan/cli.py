@@ -15,7 +15,7 @@ from contextlib import ExitStack, contextmanager
 from pathlib import Path
 from typing import TextIO
 
-from . import exact, formats, generate
+from . import formats, generate
 from .circuit import Circuit, eval_levels, require_level
 from .dvd import reduce_to_circuit
 from .errors import BootplanError, ResourceLimit
@@ -120,14 +120,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         out = files.enter_context(_output(args.out)) if args.out else None
         trace = files.enter_context(_open_out(args.trace)) if args.trace else None
         start = time.perf_counter()
-        result = plan(
-            circuit,
-            args.level,
-            args.method,
-            seed=args.seed,
-            trace=trace,
-            max_subsets=args.max_exact_subsets,
-        )
+        result = plan(circuit, args.level, args.method, seed=args.seed, trace=trace)
         pairs = _solve_report(args, circuit, result, time.perf_counter() - start)
         print("\n".join(f"{k}: {v}" for k, v in pairs))
         if out is not None:
@@ -136,8 +129,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_reduce_dvd(args: argparse.Namespace) -> int:
-    map_path = args.map_out or f"{args.out}.map"  # used only with --out
-    _require_distinct(args.out, map_path)
+    map_path = f"{args.out}.map"  # used only with --out
+    _require_distinct(args.out, map_path)  # a symlink can make the two meet
     instance = formats.parse_dvd(_read(args.dvd), source=args.dvd)
     rmap = reduce_to_circuit(instance)
     circuit_text = formats.format_circuit(rmap.circuit)
@@ -197,12 +190,10 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--seed", type=int, help="round once, at a threshold drawn with this seed")
     solve.add_argument("--out")
     solve.add_argument("--trace")
-    solve.add_argument("--max-exact-subsets", type=int, default=exact.DEFAULT_SUBSET_CAP)
 
     reduce_p = sub.add_parser("reduce-dvd", help="reduce a deletion instance to a circuit")
     reduce_p.add_argument("dvd")
     reduce_p.add_argument("--out")
-    reduce_p.add_argument("--map-out")
 
     gen = sub.add_parser("gen", help="generate a circuit file")
     gen.add_argument("--kind", choices=("layered", "series-parallel", "red-chain"), required=True)

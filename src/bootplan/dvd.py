@@ -1,10 +1,9 @@
 """DAG vertex deletion (DVD) instances and the reduction to bootstrapping.
 
 DVD asks for a minimum set of vertices whose removal leaves no directed path
-with L vertices (L >= 2); dvd_is_feasible tests a deletion set against that
-rule, and L is an argument of each check, never stored: the reduction builds
-the same circuit for every L.  An instance stores a topological order and
-the distinct predecessors of each vertex, both from circuit.dag_order, and
+with L vertices (L >= 2).  L is never stored: the reduction builds the same
+circuit for every L.  An instance stores a topological order and the
+distinct predecessors of each vertex, both from circuit.dag_order, and
 derives its edge list from them.  The reduction maps an instance H to a
 circuit G whose minimum bootstrap sets have the same size:
 
@@ -18,27 +17,20 @@ circuit G whose minimum bootstrap sets have the same size:
   * every original v gains a Red clone v' fed by a double edge (v, v').
 
 Clones force one extra Red step after each original, so a path of L
-originals extends to an interesting path for budget L, and Blue gadget
-vertices never help a mark set more than their owning original does, which
-is what pull_back exploits.
+originals extends to an interesting path for budget L.  A feasible deletion
+set is a feasible mark set as it stands, and Blue gadget vertices never help
+a mark set more than their owning original does, so a feasible mark set maps
+back to a deletion set no larger.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Set
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
-from .circuit import (
-    Circuit,
-    Color,
-    dag_order,
-    is_feasible_by_levels,
-    name_tuple,
-    require_level,
-    validate,
-)
-from .errors import InfeasibleInput, UnknownVertex
+from .circuit import Circuit, Color, dag_order, name_tuple, validate
+from .errors import UnknownVertex
 
 
 @dataclass(frozen=True)
@@ -78,27 +70,6 @@ def validate_dvd(
     return DvdInstance(topo=topo, preds=preds, names=named)
 
 
-def longest_path_vertices(instance: DvdInstance, deleted: Set[int]) -> int:
-    """Vertex count of the longest directed path avoiding deleted vertices."""
-    gone = frozenset(deleted)
-    best = 0
-    count: dict[int, int] = {}
-    for v in instance.topo:
-        if v in gone:
-            continue
-        c = 1 + max((count[u] for u in instance.preds[v] if u not in gone), default=0)
-        count[v] = c
-        if c > best:
-            best = c
-    return best
-
-
-def dvd_is_feasible(instance: DvdInstance, deleted: Set[int], level: int) -> bool:
-    """True when no remaining path contains `level` vertices."""
-    require_level(level, 2, "DVD level")
-    return longest_path_vertices(instance, deleted) <= level - 1
-
-
 @dataclass(frozen=True, eq=False)
 class ReductionMap:
     """Reduced circuit plus the provenance of every auxiliary vertex.
@@ -109,14 +80,9 @@ class ReductionMap:
     """
 
     circuit: Circuit
-    dvd: DvdInstance
     source: int
     clone_of: tuple[int, ...]
     gadget_of: Mapping[int, tuple[int, ...]]
-
-    @cached_property
-    def gadget_owner(self) -> dict[int, int]:
-        return {w: v for v, chain in self.gadget_of.items() for w in chain}
 
 
 def _fresh_name(base: str, used: set[str]) -> str:
@@ -170,31 +136,7 @@ def reduce_to_circuit(instance: DvdInstance) -> ReductionMap:
     circuit = validate(colors, edges, names=names)
     return ReductionMap(
         circuit=circuit,
-        dvd=instance,
         source=source,
         clone_of=clone_of,
         gadget_of=gadget_of,
     )
-
-
-def pull_back(rmap: ReductionMap, marks: Set[int], level: int) -> frozenset[int]:
-    """Deletion set from a mark set feasible for `level`, never larger.
-
-    Marked Blue gadget vertices are relocated onto their owning original
-    (each single relocation preserves feasibility, so relocating them all,
-    in any order, does too); everything outside the original vertex set is
-    then dropped.
-    """
-    require_level(level, 2, "DVD level")
-    if not is_feasible_by_levels(rmap.circuit, marks, level):
-        raise InfeasibleInput("mark set is not feasible for the reduced circuit")
-    owner = rmap.gadget_owner
-    relocated = (owner.get(w, w) for w in marks)
-    return frozenset(v for v in relocated if v < rmap.dvd.n)
-
-
-def push_forward(rmap: ReductionMap, deleted: Set[int], level: int) -> frozenset[int]:
-    """Mark set from a deletion set feasible for `level`; ids coincide on originals."""
-    if not dvd_is_feasible(rmap.dvd, deleted, level):
-        raise InfeasibleInput("deletion set is not feasible for the DVD instance")
-    return frozenset(deleted)

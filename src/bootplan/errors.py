@@ -66,7 +66,3 @@ class NoFeasibleCandidate(BootplanError):
     This signals an internal bug (every candidate is feasible by
     construction); it is surfaced instead of silently repaired.
     """
-
-
-class InfeasibleInput(BootplanError):
-    """A solution handed to a reduction mapping fails its feasibility precondition."""

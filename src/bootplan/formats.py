@@ -9,9 +9,10 @@ DVD files use the same layout without colors or multiplicities:
 Mark files are whitespace-separated vertex names.  '#' starts a comment in
 all three formats.  The budget L never appears in a file and no reader takes
 it; each feasibility check does.  Vertex ids follow declaration order, so
-formatting then parsing reproduces the same object; the writers raise
-ValueError for names that would not read back (empty, holding whitespace or
-'#', or repeated), so the readers need not guard against their own output.
+formatting a circuit then parsing it reproduces the same object; the writer
+raises ValueError for names that would not read back (empty, holding
+whitespace or '#', or repeated), so the reader need not guard against its
+own output.  DVD files are only read.
 
 Graph files are read in two passes, so no edge line is kept: the first reads
 node lines, skips edge lines (an edge may name a later node) and rejects
@@ -78,20 +79,15 @@ def parse_circuit(text: str, source: str = "<circuit>") -> Circuit:
     return validate(colors, edges, names=ids)
 
 
-def _writable_names(graph: Circuit | DvdInstance) -> tuple[str, ...]:
-    """graph.names, each checked to be one token without '#', none repeated."""
+def format_circuit(circuit: Circuit) -> str:
+    names = circuit.names
     seen: set[str] = set()
-    for name in graph.names:
+    for name in names:
         if name.split() != [name] or "#" in name:
             raise ValueError(f"node name {name!r} is not one token without '#'")
         if name in seen:
             raise ValueError(f"duplicate node name {name!r}")
         seen.add(name)
-    return graph.names
-
-
-def format_circuit(circuit: Circuit) -> str:
-    names = _writable_names(circuit)
     out = [f"node {names[v]} {color.value}" for v, color in enumerate(circuit.colors)]
     for src, dst, mult in circuit.edges:
         line = f"edge {names[src]} {names[dst]}"
@@ -115,13 +111,6 @@ def parse_dvd(text: str, source: str = "<dvd>") -> DvdInstance:
             raise ParseError(f"unknown directive {tokens[0]!r}", source, lineno)
     edges = _edges(text, ids, "edge <src> <dst>", source)
     return validate_dvd(len(ids), ((u, v) for u, v, _ in edges), names=ids)
-
-
-def format_dvd(instance: DvdInstance) -> str:
-    names = _writable_names(instance)
-    out = [f"node {name}" for name in names]
-    out.extend(f"edge {names[src]} {names[dst]}" for src, dst in instance.edges)
-    return "\n".join(out) + "\n" if out else ""
 
 
 def parse_marks(text: str, circuit: Circuit, source: str = "<marks>") -> frozenset[int]:

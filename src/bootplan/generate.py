@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 
 from .circuit import Circuit, Color, validate
-from .dvd import DvdInstance, validate_dvd
 
 
 def require_fraction(name: str, value: float) -> None:
@@ -145,20 +144,3 @@ def random_circuit(
         edges.append((rng.randrange(v), v, 1))
         edges.append((rng.randrange(v), v, 1))
     return validate(colors, edges)
-
-
-def random_dvd(
-    n: int,
-    seed: int | random.Random,
-    edge_probability: float = 0.3,
-) -> DvdInstance:
-    """Random DAG on 0..n-1 with forward edges drawn independently."""
-    require_fraction("edge_probability", edge_probability)
-    rng = _rng(seed)
-    edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if rng.random() < edge_probability
-    ]
-    return validate_dvd(n, edges)

@@ -36,18 +36,15 @@ def plan(
     *,
     seed: int | None = None,
     trace: TextIO | None = None,
-    max_subsets: int = exact.DEFAULT_SUBSET_CAP,
 ) -> Plan:
     """Mark set for `circuit` at noise budget `level` by one of METHODS.
 
     seed=None rounds by the derandomized scan; an int rounds once, at a
     uniform threshold drawn with that seed.  trace receives the relaxation's
-    per-round lines.  Raises ValueError for a bad level, an unknown method, a
-    seed with a method that does not round, and max_subsets < 1 whatever the
-    method, all before solving.
+    per-round lines.  Raises ValueError for a bad level, an unknown method
+    and a seed with a method that does not round, all before solving.
     """
     require_level(level)
-    exact.require_subset_cap(max_subsets)
     if seed is not None and method != "lp-round":
         raise ValueError(f"a seed selects randomized rounding; method {method!r} does not round")
     relaxation = outcome = optimum = None
@@ -62,7 +59,7 @@ def plan(
             outcome = rounding.randomized_round(circuit, budget, relaxation.tables, seed)
         marks = outcome.marks
     elif method == "exact":
-        optimum = exact.exact_bootstrap(circuit, level, max_subsets=max_subsets)
+        optimum = exact.exact_bootstrap(circuit, level)
         marks = optimum.witness
     elif method == "after-red":
         marks = baselines.after_every_red(circuit)

@@ -1,18 +1,24 @@
 """Independent reference implementations used as test ground truth.
 
 Everything here is written against the raw edge list with its own recursion,
-on purpose: these are second routes, not wrappers around package code.
+on purpose: these are second routes, not wrappers around package code.  The
+DAG vertex deletion half of the reduction proof (a random instance and its
+file text, the exact deletion optimum, and the map from reduced marks back to
+a deletion set) lives here too, since only tests run it.
 """
 
 from __future__ import annotations
 
 import math
+import random
+from collections.abc import Callable, Sequence
 from itertools import combinations
 
 import numpy as np
 
 from bootplan.circuit import Circuit, Color
-from bootplan.dvd import DvdInstance
+from bootplan.dvd import DvdInstance, ReductionMap, validate_dvd
+from bootplan.exact import ExactResult
 from bootplan.paths import LevelTables
 
 
@@ -185,3 +191,65 @@ def longest_path_brute(instance: DvdInstance, deleted: frozenset[int]) -> int:
         if v not in deleted:
             grow(v, 1)
     return best
+
+
+def smallest_feasible(
+    pool: Sequence[int], feasible: Callable[[frozenset[int]], bool]
+) -> ExactResult:
+    """First feasible subset of `pool` in (size, lexicographic) order, with the
+    number of subsets tried; the whole pool, taken as feasible unchecked, when
+    no smaller subset is."""
+    explored = 0
+    for size in range(len(pool)):
+        for combo in combinations(pool, size):
+            explored += 1
+            if feasible(frozenset(combo)):
+                return ExactResult(size, frozenset(combo), explored)
+    return ExactResult(len(pool), frozenset(pool), explored + 1)
+
+
+def exact_dvd(instance: DvdInstance, level: int) -> ExactResult:
+    """Minimum deletion set leaving no path of `level` vertices, by brute force
+    over all vertices; deleting every vertex is feasible."""
+    return smallest_feasible(
+        range(instance.n), lambda deleted: longest_path_brute(instance, deleted) <= level - 1
+    )
+
+
+def gadget_owner(rmap: ReductionMap) -> dict[int, int]:
+    """Blue gadget vertex -> the original whose in-edges its chain replaces."""
+    return {w: v for v, chain in rmap.gadget_of.items() for w in chain}
+
+
+def pull_back(rmap: ReductionMap, marks: frozenset[int], level: int) -> frozenset[int]:
+    """Deletion set from a mark set feasible for `level`, never larger.
+
+    Marked Blue gadget vertices are relocated onto their owning original
+    (each single relocation preserves feasibility, so relocating them all,
+    in any order, does too); everything outside the originals, the ids below
+    len(clone_of), is then dropped.
+    """
+    if not feasible_brute(rmap.circuit, marks, level):
+        raise ValueError("mark set is not feasible for the reduced circuit")
+    owner = gadget_owner(rmap)
+    relocated = (owner.get(w, w) for w in marks)
+    return frozenset(v for v in relocated if v < len(rmap.clone_of))
+
+
+def random_dvd(n: int, seed: int, edge_probability: float = 0.3) -> DvdInstance:
+    """Random DAG on 0..n-1 with forward edges drawn independently."""
+    rng = random.Random(seed)
+    edges = [
+        (u, v)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if rng.random() < edge_probability
+    ]
+    return validate_dvd(n, edges)
+
+
+def format_dvd(instance: DvdInstance) -> str:
+    """The file text that formats.parse_dvd reads back as `instance`."""
+    out = [f"node {name}" for name in instance.names]
+    out.extend(f"edge {instance.names[u]} {instance.names[v]}" for u, v in instance.edges)
+    return "\n".join(out) + "\n" if out else ""

@@ -9,9 +9,10 @@ import pytest
 
 from bootplan import formats, generate, lp
 from bootplan.cli import main
-from bootplan.dvd import pull_back, reduce_to_circuit
+from bootplan.dvd import reduce_to_circuit
 from bootplan.errors import IterationLimitExceeded
-from bootplan.exact import exact_bootstrap, exact_dvd
+from bootplan.exact import exact_bootstrap
+from oracles import exact_dvd, format_dvd, pull_back, random_dvd
 
 CHAIN = """\
 # four multiplications in a row
@@ -143,26 +144,25 @@ def test_solve_baseline_methods(tmp_path, capsys):
     assert "marks: r1 r2 r3 r4" in out
 
 
+def long_chain(tmp_path):
+    """A 25-Red chain: 2**25 candidate subsets, over the exact search's cap."""
+    return write(tmp_path, "long.txt", formats.format_circuit(generate.red_chain(25)))
+
+
 def test_solve_exact_cap_exits_3(tmp_path, capsys):
-    circuit = write(tmp_path, "c.txt", CHAIN)
-    code = main(
-        [
-            "solve", circuit, "--level", "1",
-            "--method", "exact", "--max-exact-subsets", "2",
-        ]
-    )
+    code = main(["solve", long_chain(tmp_path), "--level", "3", "--method", "exact"])
     assert code == 3
-    assert "error:" in capsys.readouterr().err
+    assert "error: candidate space over 25 vertices exceeds 16777216 subsets" in (
+        capsys.readouterr().err
+    )
 
 
 def test_failed_solve_removes_its_report_file(tmp_path, capsys):
-    circuit = write(tmp_path, "c.txt", CHAIN)
     report = tmp_path / "capped.tsv"
     trace = tmp_path / "capped.trace"
     code = main(
         [
-            "solve", circuit, "--level", "1",
-            "--method", "exact", "--max-exact-subsets", "2",
+            "solve", long_chain(tmp_path), "--level", "3", "--method", "exact",
             "--out", str(report), "--trace", str(trace),
         ]
     )
@@ -220,8 +220,8 @@ def test_reductions_and_witnesses_are_frozen(tmp_path, capsys):
     digest = hashlib.sha256()
     for _ in range(40):
         n, level = rng.randint(1, 6), rng.choice((2, 3))  # the digest pins this draw order
-        inst = generate.random_dvd(n, rng.randint(0, 10**6), 0.5)
-        path = write(tmp_path, "h.dvd", formats.format_dvd(inst))
+        inst = random_dvd(n, rng.randint(0, 10**6), 0.5)
+        path = write(tmp_path, "h.dvd", format_dvd(inst))
         assert main(["reduce-dvd", path]) == 0
         digest.update(capsys.readouterr().out.encode())
         rmap = reduce_to_circuit(inst)
@@ -240,19 +240,22 @@ def test_unwritable_outputs_exit_2(tmp_path, capsys):
     circuit = write(tmp_path, "c.txt", CHAIN)
     dvd = write(tmp_path, "h.txt", FAN_IN_DVD)
     missing = str(tmp_path / "no-such-dir" / "out.txt")
+    blocked = tmp_path / "r.txt.map"  # reduce-dvd's map path, taken by a directory
+    blocked.mkdir()
     runs = [
-        ["solve", circuit, "--level", "1", "--out", missing],
-        ["solve", circuit, "--level", "1", "--trace", missing],
-        ["gen", "--kind", "red-chain", "--out", missing],
-        ["reduce-dvd", dvd, "--out", str(tmp_path / "r.txt"), "--map-out", missing],
+        (["solve", circuit, "--level", "1", "--out", missing], missing),
+        (["solve", circuit, "--level", "1", "--trace", missing], missing),
+        (["gen", "--kind", "red-chain", "--out", missing], missing),
+        (["reduce-dvd", dvd, "--out", str(tmp_path / "r.txt")], str(blocked)),
     ]
-    for argv in runs:
+    for argv, unwritable in runs:
         assert main(argv) == 2
         captured = capsys.readouterr()
-        assert f"error: cannot write {missing}" in captured.err
+        assert f"error: cannot write {unwritable}" in captured.err
         if argv[0] == "solve":
             assert captured.out == ""  # failed before solving
     assert not (tmp_path / "r.txt").exists()  # reduce-dvd wrote neither output
+    assert blocked.is_dir() and not any(blocked.iterdir())
 
 
 def test_usage_errors_exit_2(tmp_path, capsys):
@@ -272,8 +275,6 @@ def test_out_of_range_numbers_exit_2(tmp_path, capsys):
     runs = [
         (["solve", circuit, "--level", "2", "--method", "greedy", "--seed", "3",
           "--out", str(report)], "does not round"),
-        (["solve", circuit, "--level", "1", "--method", "exact",
-          "--max-exact-subsets", "-1", "--out", str(report)], "subset cap must be >= 1"),
         (["gen", "--kind", "layered", "--red-fraction", "7",
           "--out", str(tmp_path / "g.txt")], "red_fraction must be in [0, 1]"),
     ]
@@ -284,19 +285,6 @@ def test_out_of_range_numbers_exit_2(tmp_path, capsys):
         assert captured.out == ""
     assert not report.exists()
     assert not (tmp_path / "g.txt").exists()
-
-
-@pytest.mark.parametrize("method", ["lp-round", "after-red", "greedy"])
-def test_subset_cap_is_checked_for_every_method(tmp_path, capsys, method):
-    circuit = write(tmp_path, "c.txt", CHAIN)
-    report = tmp_path / "r.tsv"
-    argv = ["solve", circuit, "--level", "3", "--method", method,
-            "--max-exact-subsets", "-1", "--out", str(report)]
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert "error: subset cap must be >= 1, got -1" in captured.err
-    assert captured.out == ""
-    assert not report.exists()
 
 
 def test_red_fraction_is_checked_for_a_kind_that_ignores_it(tmp_path, capsys):
@@ -324,15 +312,27 @@ def test_reduce_dvd_takes_no_level(tmp_path, capsys):
     assert "unrecognized arguments: --level 2" in capsys.readouterr().err
 
 
+def test_reduce_dvd_takes_no_map_path(tmp_path, capsys):
+    # The map always goes to <out>.map, so there is no option to name it.
+    dvd = write(tmp_path, "h.txt", FAN_IN_DVD)
+    map_path = tmp_path / "m.map"
+    with pytest.raises(SystemExit) as info:
+        main(["reduce-dvd", dvd, "--map-out", str(map_path)])
+    assert info.value.code == 2
+    assert f"unrecognized arguments: --map-out {map_path}" in capsys.readouterr().err
+    assert not map_path.exists()
+
+
 def test_outputs_sharing_a_path_exit_2(tmp_path, capsys):
     circuit = write(tmp_path, "c.txt", CHAIN)
     dvd = write(tmp_path, "h.txt", FAN_IN_DVD)
     shared = tmp_path / "shared.txt"
     same = f"{tmp_path}/./shared.txt"  # another spelling of the same path
+    (tmp_path / "shared.txt.map").symlink_to(shared)  # reduce-dvd's map path
     runs = [
         ["solve", circuit, "--level", "3", "--out", str(shared), "--trace", str(shared)],
         ["solve", circuit, "--level", "3", "--out", str(shared), "--trace", same],
-        ["reduce-dvd", dvd, "--out", str(shared), "--map-out", same],
+        ["reduce-dvd", dvd, "--out", str(shared)],
     ]
     for argv in runs:
         assert main(argv) == 2
@@ -346,14 +346,10 @@ def test_outputs_sharing_a_path_exit_2(tmp_path, capsys):
 def test_reduce_dvd_to_files(tmp_path):
     dvd = write(tmp_path, "h.txt", FAN_IN_DVD)
     out = tmp_path / "reduced.txt"
-    map_out = tmp_path / "reduced.map"
-    code = main(
-        ["reduce-dvd", dvd, "--out", str(out), "--map-out", str(map_out)]
-    )
-    assert code == 0
+    assert main(["reduce-dvd", dvd, "--out", str(out)]) == 0
     reduced = formats.parse_circuit(out.read_text())
     assert reduced.n == 12
-    assert map_out.read_text() == (
+    assert (tmp_path / "reduced.txt.map").read_text() == (
         "source\ts0\n"
         "clone\ta\tclone(a)\n"
         "clone\tb\tclone(b)\n"

@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 
 import oracles
-from bootplan.circuit import Color
-from bootplan.dvd import dvd_is_feasible, longest_path_vertices, validate_dvd
+from bootplan.circuit import Color, eval_levels, is_feasible_by_levels
+from bootplan.dvd import reduce_to_circuit, validate_dvd
 from bootplan.errors import TooLarge
-from bootplan.exact import ExactResult, exact_bootstrap, exact_dvd
-from bootplan.generate import random_dvd
+from bootplan.exact import ExactResult, exact_bootstrap
+from bootplan.generate import random_circuit
+from oracles import exact_dvd, longest_path_brute, random_dvd
 from strategies import build, circuits
 
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -61,8 +62,6 @@ def test_subset_cap_raises_too_large():
 def test_subset_cap_below_one_rejected(cap):
     with pytest.raises(ValueError, match="subset cap must be >= 1"):
         exact_bootstrap(red_chain4(), 1, max_subsets=cap)
-    with pytest.raises(ValueError, match="subset cap must be >= 1"):
-        exact_dvd(validate_dvd(2, [(0, 1)]), 2, max_subsets=cap)
 
 
 def test_empty_pools_answer():
@@ -87,6 +86,20 @@ def test_optimum_matches_path_based_enumeration(circuit):
     assert oracles.feasible_brute(circuit, result.witness, level)
 
 
+def test_search_matches_the_reference_subset_loop():
+    # Same optimum, same witness and same count of subsets tried as the
+    # reference loop over the non-White vertices with the brute-force check.
+    rng = random.Random(13)
+    for trial in range(40):
+        circuit = random_circuit(rng.randint(1, 14), rng.randint(0, 10**6))
+        level = rng.choice((1, 2, 3))
+        pool = [v for v in range(circuit.n) if circuit.colors[v] is not Color.WHITE]
+        expected = oracles.smallest_feasible(
+            pool, lambda marks: oracles.feasible_brute(circuit, marks, level)
+        )
+        assert exact_bootstrap(circuit, level) == expected
+
+
 # --- deletion instances -----------------------------------------------------
 
 
@@ -96,15 +109,20 @@ def path_dvd():
 
 def test_longest_path_counts_vertices():
     inst = path_dvd()
-    assert longest_path_vertices(inst, frozenset()) == 4
-    assert longest_path_vertices(inst, {1}) == 2
-    assert longest_path_vertices(inst, {1, 2}) == 1
-    assert longest_path_vertices(inst, {0, 1, 2, 3}) == 0
+    assert longest_path_brute(inst, frozenset()) == 4
+    assert longest_path_brute(inst, {1}) == 2
+    assert longest_path_brute(inst, {1, 2}) == 1
+    assert longest_path_brute(inst, {0, 1, 2, 3}) == 0
 
 
 def test_dvd_feasibility_threshold():
-    assert not dvd_is_feasible(path_dvd(), {1}, 2)
-    assert dvd_is_feasible(path_dvd(), {1}, 3)
+    # Deleting {1} leaves a 2-vertex path, so {1} fails level 2 and passes
+    # level 3, as a deletion set and as marks on the reduced circuit alike.
+    inst = path_dvd()
+    assert longest_path_brute(inst, {1}) == 2
+    circuit = reduce_to_circuit(inst).circuit
+    assert not is_feasible_by_levels(circuit, {1}, 2)
+    assert is_feasible_by_levels(circuit, {1}, 3)
 
 
 def test_exact_dvd_on_a_path():
@@ -119,23 +137,16 @@ def test_exact_dvd_on_a_path():
     assert result.explored == 1 + 2
 
 
-def test_exact_dvd_cap():
-    # Four vertices, 16 subsets: a cap of 15 refuses the search up front.
-    inst = path_dvd()
-    with pytest.raises(TooLarge):
-        exact_dvd(inst, 2, max_subsets=15)
-    assert exact_dvd(inst, 2, max_subsets=16).optimum == 2
-
-
 def test_longest_path_matches_brute_force():
+    # With a deletion set as marks, the reduced circuit's top level is one
+    # more than the longest path left: the clone after its last vertex.
     rng = random.Random(3)
     for trial in range(40):
         n = rng.randint(1, 7)
         inst = random_dvd(n, seed=rng.randint(0, 10**6))
         deleted = frozenset(v for v in range(n) if rng.random() < 0.3)
-        assert longest_path_vertices(inst, deleted) == oracles.longest_path_brute(
-            inst, deleted
-        )
+        circuit = reduce_to_circuit(inst).circuit
+        assert max(eval_levels(circuit, deleted)) == longest_path_brute(inst, deleted) + 1
 
 
 def test_exact_dvd_witness_is_minimal():
@@ -145,7 +156,7 @@ def test_exact_dvd_witness_is_minimal():
         level = rng.choice((2, 3))
         inst = random_dvd(n, seed=rng.randint(0, 10**6))
         result = exact_dvd(inst, level)
-        assert dvd_is_feasible(inst, result.witness, level)
+        assert longest_path_brute(inst, result.witness) <= level - 1
         for smaller in combinations(range(n), max(result.optimum - 1, 0)):
             if result.optimum:
-                assert not dvd_is_feasible(inst, frozenset(smaller), level)
+                assert longest_path_brute(inst, frozenset(smaller)) >= level

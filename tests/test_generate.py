@@ -8,14 +8,9 @@ import random
 import pytest
 
 from bootplan.circuit import Color
-from bootplan.formats import format_circuit, format_dvd
-from bootplan.generate import (
-    layered,
-    random_circuit,
-    random_dvd,
-    red_chain,
-    series_parallel,
-)
+from bootplan.formats import format_circuit
+from bootplan.generate import layered, random_circuit, red_chain, series_parallel
+from oracles import format_dvd, random_dvd
 
 
 def test_red_chain_shape():
@@ -103,7 +98,6 @@ def test_fractions_outside_unit_interval_rejected(bad):
         (lambda: series_parallel(10, bad, 0), "red_fraction"),
         (lambda: random_circuit(5, 0, white_fraction=bad), "white_fraction"),
         (lambda: random_circuit(5, 0, red_fraction=bad), "red_fraction"),
-        (lambda: random_dvd(5, 0, edge_probability=bad), "edge_probability"),
     ]
     for call, name in calls:
         with pytest.raises(ValueError, match=f"{name} must be in \\[0, 1\\]"):

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from bootplan import baselines, exact, lp
 from bootplan.baselines import after_every_red, greedy_topological
 from bootplan.circuit import eval_levels
 from bootplan.exact import exact_bootstrap
@@ -89,14 +88,3 @@ def test_unknown_method_raises():
     with pytest.raises(ValueError, match="unknown method 'simplex'"):
         plan(red_chain(3), 1, "simplex")
 
-
-@pytest.mark.parametrize("method", METHODS)
-def test_subset_cap_below_one_raises_before_solving(monkeypatch, method):
-    def unreachable(*args, **kwargs):
-        raise AssertionError("solved despite a bad subset cap")
-
-    for module, name in [(lp, "solve_relaxation"), (exact, "exact_bootstrap"),
-                         (baselines, "after_every_red"), (baselines, "greedy_topological")]:
-        monkeypatch.setattr(module, name, unreachable)
-    with pytest.raises(ValueError, match="subset cap must be >= 1, got 0"):
-        plan(red_chain(3), 1, method, max_subsets=0)
