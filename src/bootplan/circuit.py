@@ -169,8 +169,9 @@ def validate(
 
 def _check_marks(circuit: Circuit, marks: Set[int]) -> frozenset[int]:
     s = frozenset(marks)
+    n = circuit.n
     for v in s:
-        if not isinstance(v, int) or v < 0 or v >= circuit.n:
+        if not isinstance(v, int) or v < 0 or v >= n:
             raise UnknownVertex(v)
     return s
 

@@ -1,7 +1,12 @@
 """Command-line front end.
 
-Exit codes: 0 success (and feasible verdicts), 1 infeasible verdict,
-2 usage or input errors, 3 resource caps.
+Exit codes, for every command:
+  0  success, and a feasible verdict
+  1  an infeasible verdict
+  2  usage or input errors, and solver faults (NumericalFailure,
+     NoFeasibleCandidate): every BootplanError or ValueError that is not a
+     ResourceLimit
+  3  a resource cap was hit (ResourceLimit: TooLarge, IterationLimitExceeded)
 """
 
 from __future__ import annotations
@@ -60,13 +65,9 @@ def _output(path: str) -> Iterator[TextIO]:
             raise
 
 
-def _load_circuit(path: str) -> Circuit:
-    return formats.parse_circuit(_read(path), source=path)
-
-
 def cmd_check(args: argparse.Namespace) -> int:
     require_level(args.level)
-    circuit = _load_circuit(args.circuit)
+    circuit = formats.parse_circuit(_read(args.circuit), source=args.circuit)
     marks = formats.parse_marks(_read(args.marks), circuit, source=args.marks)
     levels = eval_levels(circuit, marks)
     histogram = Counter(levels)
@@ -114,7 +115,7 @@ def _solve_report(
 def cmd_solve(args: argparse.Namespace) -> int:
     _require_distinct(args.out, args.trace)
     require_level(args.level)
-    circuit = _load_circuit(args.circuit)
+    circuit = formats.parse_circuit(_read(args.circuit), source=args.circuit)
     with ExitStack() as files:
         # A failed solve leaves no report, but its trace explains the failure.
         out = files.enter_context(_output(args.out)) if args.out else None

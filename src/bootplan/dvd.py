@@ -2,10 +2,10 @@
 
 DVD asks for a minimum set of vertices whose removal leaves no directed path
 with L vertices (L >= 2).  L is never stored: the reduction builds the same
-circuit for every L.  An instance stores a topological order and the
-distinct predecessors of each vertex, both from circuit.dag_order, and
-derives its edge list from them.  The reduction maps an instance H to a
-circuit G whose minimum bootstrap sets have the same size:
+circuit for every L.  An instance stores only the names and the distinct
+predecessors of each vertex, from circuit.dag_order, which also rejects
+cycles.  The reduction maps an instance H to a circuit G whose minimum
+bootstrap sets have the same size:
 
   * every original vertex becomes Red and keeps its id;
   * a White source s0 pads originals with fewer than two in-edges up to
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from functools import cached_property
 
 from .circuit import Circuit, Color, dag_order, name_tuple, validate
 from .errors import UnknownVertex
@@ -37,18 +36,12 @@ from .errors import UnknownVertex
 class DvdInstance:
     """Validated DVD instance; build through :func:`validate_dvd`."""
 
-    topo: tuple[int, ...]
     preds: tuple[tuple[int, ...], ...]
     names: tuple[str, ...]
 
     @property
     def n(self) -> int:
-        return len(self.topo)
-
-    @cached_property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        """Distinct (src, dst) arcs sorted by endpoints."""
-        return tuple(sorted((u, v) for v, ps in enumerate(self.preds) for u in ps))
+        return len(self.preds)
 
 
 def validate_dvd(
@@ -66,8 +59,8 @@ def validate_dvd(
         pred_sets[dst].add(src)
 
     named = name_tuple(names, n)
-    topo, preds = dag_order(pred_sets, "deletion instance")
-    return DvdInstance(topo=topo, preds=preds, names=named)
+    _, preds = dag_order(pred_sets, "deletion instance")  # raises on a cycle
+    return DvdInstance(preds=preds, names=named)
 
 
 @dataclass(frozen=True, eq=False)

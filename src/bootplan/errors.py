@@ -1,7 +1,6 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: a ResourceLimit (a cap on work or size)
-exits 3, every other BootplanError (input or structure problems) exits 2.
+The exit code of each is set in one place, the bootplan.cli docstring.
 """
 
 from __future__ import annotations

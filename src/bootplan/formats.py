@@ -7,7 +7,8 @@ DVD files use the same layout without colors or multiplicities:
     node <name>
     edge <src> <dst>
 Mark files are whitespace-separated vertex names.  '#' starts a comment in
-all three formats.  The budget L never appears in a file and no reader takes
+all three formats, and runs to the end of the line: lines end only at '\n',
+'\r\n' or '\r'.  The budget L never appears in a file and no reader takes
 it; each feasibility check does.  Vertex ids follow declaration order, so
 formatting a circuit then parsing it reproduces the same object; the writer
 raises ValueError for names that would not read back (empty, holding
@@ -30,7 +31,11 @@ _COLORS = {c.value: c for c in Color}
 
 
 def _lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # Lines end only at \n, \r\n and \r: str.splitlines would also end them
+    # at form feeds and other separators, and so end a comment early.
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield lineno, line.split()

@@ -174,9 +174,14 @@ def covering_lp_by_vertex_enumeration(
     return best
 
 
+def dvd_edges(instance: DvdInstance) -> tuple[tuple[int, int], ...]:
+    """Distinct (src, dst) arcs of a deletion instance, sorted by endpoints."""
+    return tuple(sorted((u, v) for v, ps in enumerate(instance.preds) for u in ps))
+
+
 def longest_path_brute(instance: DvdInstance, deleted: frozenset[int]) -> int:
     succ: dict[int, list[int]] = {v: [] for v in range(instance.n)}
-    for src, dst in instance.edges:
+    for src, dst in dvd_edges(instance):
         succ[src].append(dst)
     best = 0
 
@@ -251,5 +256,5 @@ def random_dvd(n: int, seed: int, edge_probability: float = 0.3) -> DvdInstance:
 def format_dvd(instance: DvdInstance) -> str:
     """The file text that formats.parse_dvd reads back as `instance`."""
     out = [f"node {name}" for name in instance.names]
-    out.extend(f"edge {instance.names[u]} {instance.names[v]}" for u, v in instance.edges)
+    out.extend(f"edge {instance.names[u]} {instance.names[v]}" for u, v in dvd_edges(instance))
     return "\n".join(out) + "\n" if out else ""

@@ -359,13 +359,6 @@ def test_reduce_dvd_to_files(tmp_path):
     )
 
 
-def test_reduce_dvd_default_map_path(tmp_path):
-    dvd = write(tmp_path, "h.txt", FAN_IN_DVD)
-    out = tmp_path / "reduced.txt"
-    assert main(["reduce-dvd", dvd, "--out", str(out)]) == 0
-    assert (tmp_path / "reduced.txt.map").exists()
-
-
 def test_reduce_dvd_to_stdout(tmp_path, capsys):
     dvd = write(tmp_path, "h.txt", FAN_IN_DVD)
     assert main(["reduce-dvd", dvd]) == 0

@@ -8,12 +8,12 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from bootplan.circuit import Color, validate
+from bootplan.circuit import Circuit, Color, dag_order, validate
 from bootplan.dvd import reduce_to_circuit
 from bootplan.errors import CycleDetected, IndegreeViolation, ParseError
 from bootplan.formats import format_circuit, parse_circuit, parse_dvd, parse_marks
 from bootplan.generate import layered, random_circuit, red_chain
-from oracles import format_dvd, random_dvd
+from oracles import dvd_edges, format_dvd, random_dvd
 from strategies import circuits
 
 SAMPLE = """\
@@ -93,6 +93,36 @@ def test_structural_errors_propagate():
         )
 
 
+# str.splitlines breaks at these too; a file line does not.
+OTHER_SEPARATORS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("sep", OTHER_SEPARATORS)
+def test_comment_runs_past_other_line_separators(sep):
+    c = parse_circuit(f"node a white\n# note{sep}node b white\n")
+    assert c.names == ("a",)
+
+
+def test_directive_after_form_feed_stays_in_its_comment():
+    assert parse_circuit("node a white\n# x\x0cbogus\n").names == ("a",)
+    with pytest.raises(ParseError, match="unknown directive 'foo'") as info:
+        parse_circuit("node a white\n# x\x0cbogus\nfoo\n")
+    assert info.value.line == 3
+
+
+def test_marks_comment_runs_past_form_feed():
+    c = parse_circuit(SAMPLE)
+    assert parse_marks("g1 # g2\x0cg2\n", c) == frozenset({1})
+
+
+def test_lines_end_at_newline_and_carriage_return():
+    text = "node a white\r\nnode b red\redge a b 2\n\rbogus\n"
+    with pytest.raises(ParseError, match="unknown directive 'bogus'") as info:
+        parse_circuit(text)
+    assert info.value.line == 5
+    assert parse_circuit(text.replace("bogus", "# ok")).names == ("a", "b")
+
+
 def test_empty_circuit_file():
     c = parse_circuit("# nothing\n")
     assert c.n == 0
@@ -114,13 +144,13 @@ def test_parse_dvd_roundtrip():
     d = random_dvd(9, seed=11)
     text = format_dvd(d)
     again = parse_dvd(text)
-    assert again.edges == d.edges
+    assert dvd_edges(again) == dvd_edges(d)
     assert format_dvd(again) == text
 
 
 def test_parse_dvd_duplicate_edges_collapse():
     d = parse_dvd("node a\nnode b\nedge a b\nedge a b\n")
-    assert d.edges == ((0, 1),)
+    assert dvd_edges(d) == ((0, 1),)
 
 
 def test_parse_dvd_errors():
@@ -152,8 +182,10 @@ def test_marks_roundtrip_and_errors():
 
 def test_loaded_graphs_are_frozen():
     # topo and preds of generated, parsed and reduced graphs must stay the
-    # same across releases.  Parsing shuffled lines gives ids that are not in
-    # topological order, with edges declared before their nodes.
+    # same across releases; a deletion instance stores no order, so its topo
+    # is the one dag_order derives from its preds.  Parsing shuffled lines
+    # gives ids that are not in topological order, with edges declared
+    # before their nodes.
     def shuffled(text, seed):
         lines = text.splitlines()
         random.Random(seed).shuffle(lines)
@@ -167,7 +199,8 @@ def test_loaded_graphs_are_frozen():
         graphs += [d, parse_dvd(shuffled(format_dvd(d), s)), reduce_to_circuit(d).circuit]
     digest = hashlib.sha256()
     for g in graphs:
-        digest.update(repr((g.topo, g.preds)).encode())
+        topo = g.topo if isinstance(g, Circuit) else dag_order(g.preds, "deletion instance")[0]
+        digest.update(repr((topo, g.preds)).encode())
     assert digest.hexdigest() == (
         "06aec44ace920fa71dadd0bc5a42cde349994c786a645a9b18c422bce4b75016"
     )

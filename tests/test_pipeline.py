@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import pytest
 
 from bootplan.baselines import after_every_red, greedy_topological
@@ -88,3 +91,9 @@ def test_unknown_method_raises():
     with pytest.raises(ValueError, match="unknown method 'simplex'"):
         plan(red_chain(3), 1, "simplex")
 
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 1
+    exec(blocks[0], {})
