@@ -5,17 +5,26 @@ at the first feasible one, so the witness has minimum size.  The search space
 is every subset of the candidate pool, capped up front (default 2**24
 subsets): TooLarge is raised when it would be bigger.  Below the cap it
 always answers, since marking the whole pool is feasible.
+
+Subsets are evaluated in numpy blocks of BLOCK_MIN growing to BLOCK_MAX, in
+the same order; `explored` is the witness's position in that order, not the
+number of subsets evaluated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, islice
 
-from .circuit import Circuit, Color, eval_levels, require_level
+import numpy as np
+
+from .circuit import Circuit, Color, require_level
 from .errors import TooLarge
 
 DEFAULT_SUBSET_CAP = 1 << 24
+# Blocks start small since many searches end within a few subsets.
+BLOCK_MIN = 16
+BLOCK_MAX = 2048
 
 
 @dataclass(frozen=True)
@@ -44,11 +53,36 @@ def exact_bootstrap(
     n = len(pool)
     if 1 << n > max_subsets:
         raise TooLarge(f"candidate space over {n} vertices exceeds {max_subsets} subsets")
+    # Vertices are rows by pool position; White predecessors read row n, all 0.
+    row = {v: i for i, v in enumerate(pool)}
+    sweep = [
+        (row[v], [row.get(u, n) for u in circuit.preds[v]], circuit.colors[v] is Color.RED)
+        for v in circuit.topo
+        if v in row
+    ]
+    stream = chain.from_iterable(combinations(range(n), k) for k in range(n))
     explored = 0
-    for size in range(n):
-        for combo in combinations(pool, size):
-            explored += 1
-            marks = frozenset(combo)
-            if max(eval_levels(circuit, marks), default=0) <= level:
-                return ExactResult(optimum=size, witness=marks, explored=explored)
-    return ExactResult(optimum=n, witness=frozenset(pool), explored=explored + 1)
+    block = BLOCK_MIN
+    while batch := list(islice(stream, block)):
+        cols = len(batch)
+        marked = np.fromiter(chain.from_iterable(batch), np.intp)
+        keep = np.ones((n, cols), np.int64)
+        keep[marked, np.repeat(np.arange(cols), list(map(len, batch)))] = 0
+        # passed: each vertex's level, 0 where marked; top: each subset's
+        # highest level.  Levels count Reds on a path, so int64 cannot wrap.
+        passed = np.zeros((n + 1, cols), np.int64)
+        top = np.zeros(cols, np.int64)
+        for i, ps, red in sweep:
+            lv = np.maximum(passed[ps[0]], passed[ps[-1]])
+            if red:
+                lv += 1
+                np.maximum(top, lv, out=top)
+            np.multiply(lv, keep[i], out=passed[i])
+        hits = np.flatnonzero(top <= level)
+        if hits.size:
+            first = batch[hits[0]]
+            witness = frozenset(pool[i] for i in first)
+            return ExactResult(len(first), witness, explored + int(hits[0]) + 1)
+        explored += cols
+        block = min(2 * block, BLOCK_MAX)
+    return ExactResult(n, frozenset(pool), explored + 1)

@@ -12,8 +12,8 @@ import oracles
 from bootplan.circuit import Color, eval_levels, is_feasible_by_levels
 from bootplan.dvd import reduce_to_circuit, validate_dvd
 from bootplan.errors import TooLarge
-from bootplan.exact import ExactResult, exact_bootstrap
-from bootplan.generate import random_circuit
+from bootplan.exact import BLOCK_MAX, BLOCK_MIN, ExactResult, exact_bootstrap
+from bootplan.generate import layered, random_circuit, red_chain
 from oracles import exact_dvd, longest_path_brute, random_dvd
 from strategies import build, circuits
 
@@ -98,6 +98,57 @@ def test_search_matches_the_reference_subset_loop():
             pool, lambda marks: oracles.feasible_brute(circuit, marks, level)
         )
         assert exact_bootstrap(circuit, level) == expected
+
+
+def test_levels_past_any_small_dtype_do_not_wrap():
+    # 130 Reds in a row reach level 130 unmarked: one level over L = 129, so
+    # the empty set fails and the first singleton, {1}, is the witness.
+    assert exact_bootstrap(red_chain(130), 129, max_subsets=1 << 131) == ExactResult(
+        1, frozenset({1}), 2
+    )
+
+
+def block_ends(total: int) -> list[int]:
+    """1-based stream positions that end a block, up to `total`."""
+    ends, block = [BLOCK_MIN], BLOCK_MIN
+    while ends[-1] < total:
+        block = min(2 * block, BLOCK_MAX)
+        ends.append(ends[-1] + block)
+    return ends
+
+
+def reference_search(circuit, level):
+    """The search one subset at a time, each checked by eval_levels."""
+    pool = [v for v in range(circuit.n) if circuit.colors[v] is not Color.WHITE]
+    return oracles.smallest_feasible(
+        pool, lambda marks: is_feasible_by_levels(circuit, marks, level)
+    )
+
+
+@pytest.mark.parametrize(
+    "circuit, level",
+    [(red_chain(k), 1) for k in range(8, 15)] + [(layered(6, 3, 1.0, 4), 1)],
+)
+def test_witnesses_past_several_blocks_match_the_reference_loop(circuit, level):
+    expected = reference_search(circuit, level)
+    assert len(block_ends(expected.explored)) > 3  # three blocks end before the witness
+    assert exact_bootstrap(circuit, level) == expected
+
+
+@pytest.mark.parametrize(
+    "circuit, level, edge",
+    [
+        (random_circuit(10, 233), 1, "last"),
+        (red_chain(11), 5, "first"),
+        (red_chain(15), 6, "first"),
+        (red_chain(13), 3, "last"),
+    ],
+)
+def test_witnesses_on_a_block_edge_match_the_reference_loop(circuit, level, edge):
+    expected = reference_search(circuit, level)
+    ends = block_ends(expected.explored)
+    assert expected.explored in (ends if edge == "last" else [e + 1 for e in ends])
+    assert exact_bootstrap(circuit, level) == expected
 
 
 # --- deletion instances -----------------------------------------------------
