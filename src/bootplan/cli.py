@@ -46,8 +46,12 @@ def _open_out(path: str) -> TextIO:
         raise BootplanError(f"cannot write {path}: {exc.strerror}") from exc
 
 
-def _require_distinct(first: str | None, second: str | None) -> None:
-    """Two outputs on one path would overwrite each other, so refuse them up front."""
+def _require_distinct(source: str, first: str | None, second: str | None) -> None:
+    """An output on the input's path or on the other output's would overwrite
+    it, so refuse both up front."""
+    for out in (first, second):
+        if out and Path(out).resolve() == Path(source).resolve():
+            raise BootplanError(f"output {out} is the input file {source}")
     if first and second and Path(first).resolve() == Path(second).resolve():
         raise BootplanError(f"outputs {first} and {second} are the same file")
 
@@ -113,7 +117,7 @@ def _solve_report(
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    _require_distinct(args.out, args.trace)
+    _require_distinct(args.circuit, args.out, args.trace)
     require_level(args.level)
     circuit = formats.parse_circuit(_read(args.circuit), source=args.circuit)
     with ExitStack() as files:
@@ -130,8 +134,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_reduce_dvd(args: argparse.Namespace) -> int:
-    map_path = f"{args.out}.map"  # used only with --out
-    _require_distinct(args.out, map_path)  # a symlink can make the two meet
+    map_path = args.out and f"{args.out}.map"
+    _require_distinct(args.dvd, args.out, map_path)  # a symlink can make outputs meet
     instance = formats.parse_dvd(_read(args.dvd), source=args.dvd)
     rmap = reduce_to_circuit(instance)
     circuit_text = formats.format_circuit(rmap.circuit)

@@ -3,8 +3,9 @@
 exact_bootstrap tries candidate mark sets in increasing cardinality, stopping
 at the first feasible one, so the witness has minimum size.  The search space
 is every subset of the candidate pool, capped up front (default 2**24
-subsets): TooLarge is raised when it would be bigger.  Below the cap it
-always answers, since marking the whole pool is feasible.
+subsets): TooLarge is raised when it would be bigger.  The block kernel
+checks every answer, even the whole pool, which is tried last and is always
+feasible, so below the cap the search always answers.
 
 Subsets are evaluated in numpy blocks of BLOCK_MIN growing to BLOCK_MAX, in
 the same order; `explored` is the witness's position in that order, not the
@@ -41,10 +42,9 @@ def exact_bootstrap(
 
     White vertices are excluded from the candidate pool (marking them never
     changes any level); marking every other vertex is feasible for any L >= 1,
-    so the whole pool is returned unchecked when no smaller subset is.
-    Subsets of one size are tried in lexicographic order.  Raises TooLarge
-    when the 2**len(pool) subsets outnumber max_subsets, and ValueError when
-    max_subsets < 1.
+    so the whole pool, tried last, always passes.  Subsets of one size are
+    tried in lexicographic order.  Raises TooLarge when the 2**len(pool)
+    subsets outnumber max_subsets, and ValueError when max_subsets < 1.
     """
     require_level(level)
     if max_subsets < 1:
@@ -60,7 +60,7 @@ def exact_bootstrap(
         for v in circuit.topo
         if v in row
     ]
-    stream = chain.from_iterable(combinations(range(n), k) for k in range(n))
+    stream = chain.from_iterable(combinations(range(n), k) for k in range(n + 1))
     explored = 0
     block = BLOCK_MIN
     while batch := list(islice(stream, block)):
@@ -85,4 +85,3 @@ def exact_bootstrap(
             return ExactResult(len(first), witness, explored + int(hits[0]) + 1)
         explored += cols
         block = min(2 * block, BLOCK_MAX)
-    return ExactResult(n, frozenset(pool), explored + 1)

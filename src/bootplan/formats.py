@@ -15,10 +15,11 @@ raises ValueError for names that would not read back (empty, holding
 whitespace or '#', or repeated), so the reader need not guard against its
 own output.  DVD files are only read.
 
-Graph files are read in two passes, so no edge line is kept: the first reads
-node lines, skips edge lines (an edge may name a later node) and rejects
-unknown directives; the second checks each edge line and streams it into
-validate or validate_dvd.  So node-line and directive errors come first.
+Both graph readers read in the same two passes, so no edge line is kept:
+_nodes reads node lines, skips edge lines (an edge may name a later node)
+and rejects unknown directives; _edges checks each edge line and streams it
+into validate or validate_dvd.  So node-line and directive errors come
+first; the circuit reader adds only one check, a node line's color.
 """
 
 from __future__ import annotations
@@ -39,6 +40,23 @@ def _lines(text: str):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield lineno, line.split()
+
+
+def _nodes(text: str, ids: dict[str, int], usage: str, source: str):
+    """First pass: (lineno, tokens) per node line, once its token count is
+    checked against `usage` and its new name given the next id in `ids`.
+    Edge lines are skipped; any other directive raises."""
+    count = len(usage.split())
+    for lineno, tokens in _lines(text):
+        if tokens[0] == "node":
+            if len(tokens) != count:
+                raise ParseError(f"expected: {usage}", source, lineno)
+            if tokens[1] in ids:
+                raise ParseError(f"duplicate node name {tokens[1]!r}", source, lineno)
+            ids[tokens[1]] = len(ids)
+            yield lineno, tokens
+        elif tokens[0] != "edge":
+            raise ParseError(f"unknown directive {tokens[0]!r}", source, lineno)
 
 
 def _edges(text: str, ids: dict[str, int], usage: str, source: str):
@@ -67,19 +85,10 @@ def _edges(text: str, ids: dict[str, int], usage: str, source: str):
 def parse_circuit(text: str, source: str = "<circuit>") -> Circuit:
     ids: dict[str, int] = {}  # in declaration order, so its keys are the names
     colors: list[Color] = []
-    for lineno, tokens in _lines(text):
-        if tokens[0] == "node":
-            if len(tokens) != 3:
-                raise ParseError("expected: node <name> <white|blue|red>", source, lineno)
-            _, name, colorword = tokens
-            if name in ids:
-                raise ParseError(f"duplicate node name {name!r}", source, lineno)
-            if colorword not in _COLORS:
-                raise ParseError(f"unknown color {colorword!r}", source, lineno)
-            ids[name] = len(ids)
-            colors.append(_COLORS[colorword])
-        elif tokens[0] != "edge":
-            raise ParseError(f"unknown directive {tokens[0]!r}", source, lineno)
+    for lineno, tokens in _nodes(text, ids, "node <name> <white|blue|red>", source):
+        if tokens[2] not in _COLORS:
+            raise ParseError(f"unknown color {tokens[2]!r}", source, lineno)
+        colors.append(_COLORS[tokens[2]])
     edges = _edges(text, ids, "edge <src> <dst> [multiplicity]", source)
     return validate(colors, edges, names=ids)
 
@@ -104,16 +113,8 @@ def format_circuit(circuit: Circuit) -> str:
 
 def parse_dvd(text: str, source: str = "<dvd>") -> DvdInstance:
     ids: dict[str, int] = {}  # in declaration order, so its keys are the names
-    for lineno, tokens in _lines(text):
-        if tokens[0] == "node":
-            if len(tokens) != 2:
-                raise ParseError("expected: node <name>", source, lineno)
-            name = tokens[1]
-            if name in ids:
-                raise ParseError(f"duplicate node name {name!r}", source, lineno)
-            ids[name] = len(ids)
-        elif tokens[0] != "edge":
-            raise ParseError(f"unknown directive {tokens[0]!r}", source, lineno)
+    for _ in _nodes(text, ids, "node <name>", source):
+        pass
     edges = _edges(text, ids, "edge <src> <dst>", source)
     return validate_dvd(len(ids), ((u, v) for u, v, _ in edges), names=ids)
 

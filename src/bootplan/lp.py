@@ -22,7 +22,9 @@ packing column, entering at z = 0 with its violation as reduced cost, and a
 vertex new to the master is a new packing row whose slack is basic at 1.  So
 the last master's basis stays feasible, and each round starts from it
 (warm start) rather than from the all-slack basis, which only the first
-master uses; no phase 1 is needed.  The tableau B^-1 [A' | I | 1] is built
+master uses; no phase 1 is needed.  The master assumes all this of its one
+caller, solve_relaxation, and checks none of it, nor that each row is
+nonempty and within 0..n-1.  The tableau B^-1 [A' | I | 1] is built
 from the basis on entry and rebuilt the same way every REFACTOR_EVERY
 pivots, which drops the rounding error pivots accumulate.  Pricing is
 Dantzig's rule (largest reduced cost, smallest index on ties); after
@@ -48,8 +50,9 @@ import numpy as np
 
 from .circuit import Circuit, require_level
 from .errors import IterationLimitExceeded, NumericalFailure
-from .paths import VIOLATION_TOL, LevelTables, backtrack_interesting_path, level_lengths
+from .paths import LevelTables, backtrack_interesting_path, level_lengths
 
+VIOLATION_TOL = 1e-7
 PIVOT_TOL = 1e-9
 _REDCOST_TOL = 1e-9
 _TIE_TOL = 1e-12
@@ -144,34 +147,25 @@ def solve_restricted_master(
     `rows`, to its packing row's basic column: a row's index in `rows`, or ~v
     for the slack of vertex v.  The solve starts from it, with the slack of
     every vertex new to the master basic, and writes the final basis back
-    into it; a basis naming a column outside this master raises ValueError,
-    a singular one NumericalFailure.  Raises NumericalFailure when the
-    simplex result fails its optimality certificate twice: once as solved,
-    once more after refactoring from its final basis and pivoting on.
+    into it; the rows and basis are solve_relaxation's, unchecked (see the
+    module docstring).  Raises NumericalFailure for a singular basis, and
+    when the simplex result fails its optimality certificate twice: once as
+    solved, once more after refactoring from its final basis and pivoting on.
     """
     if not rows:
         return [0.0] * n, 0.0
-    row_sets = [frozenset(r) for r in rows]
-    for r in row_sets:
-        if not r:
-            raise ValueError("covering rows must be nonempty")
-        for v in r:
-            if not 0 <= v < n:
-                raise ValueError(f"row references vertex {v} outside 0..{n - 1}")
     # Pricing breaks ties by column order; descending ids send ties between
     # optimal weight vectors to the later vertex.
-    active = sorted(set().union(*row_sets), reverse=True)
+    active = sorted(set().union(*rows), reverse=True)
     col = {v: i for i, v in enumerate(active)}
-    m = len(row_sets)
+    m = len(rows)
     a = np.zeros((m, len(active)))
-    for i, r in enumerate(row_sets):
+    for i, r in enumerate(rows):
         for v in r:
             a[i, col[v]] = 1.0
     # Old rows keep their basic columns and a new vertex its slack, at 1; new
     # rows enter as nonbasic packing columns at 0, so this basis is feasible.
     labels = [basis.get(v, ~v) for v in active]
-    if any(c >= m or (c < 0 and ~c not in col) for c in labels):
-        raise ValueError("basis names a column outside this master")
     columns = np.array([c if c >= 0 else m + col[~c] for c in labels], dtype=np.intp)
     for _ in range(2):
         y, z, columns = _solve_covering_lp(a, columns)

@@ -32,8 +32,6 @@ import numpy as np
 
 from .circuit import Circuit, Color, require_level
 
-VIOLATION_TOL = 1e-7
-
 
 @dataclass(frozen=True, eq=False)
 class LevelTables:

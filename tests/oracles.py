@@ -4,14 +4,15 @@ Everything here is written against the raw edge list with its own recursion,
 on purpose: these are second routes, not wrappers around package code.  The
 DAG vertex deletion half of the reduction proof (a random instance and its
 file text, the exact deletion optimum, and the map from reduced marks back to
-a deletion set) lives here too, since only tests run it.
+a deletion set) lives here too, since only tests run it, and so do the
+invariants the LP master assumes of its caller and no longer checks itself.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Sequence, Set
 from itertools import combinations
 
 import numpy as np
@@ -172,6 +173,23 @@ def covering_lp_by_vertex_enumeration(
             continue
         best = min(best, float(x.sum()))
     return best
+
+
+def assert_master_input(
+    n: int, rows: Sequence[Set[int]], basis: dict[int, int], earlier: Sequence[Set[int]]
+) -> None:
+    """What lp.solve_restricted_master assumes of its caller and does not
+    check: every row is nonempty and within 0..n-1, the rows extend the
+    previous call's `earlier`, and every basis entry maps a vertex of these
+    rows to a row index of this master or to ~v, the slack of one of its
+    vertices v."""
+    for row in rows:
+        assert row and all(0 <= v < n for v in row), f"bad row {sorted(row)}"
+    assert list(rows[: len(earlier)]) == list(earlier), "rows do not extend the last master's"
+    vertices = set().union(*rows)
+    assert set(basis) <= vertices, "basis keys a vertex outside the master"
+    for label in basis.values():
+        assert label < len(rows) and (label >= 0 or ~label in vertices), f"bad label {label}"
 
 
 def dvd_edges(instance: DvdInstance) -> tuple[tuple[int, int], ...]:

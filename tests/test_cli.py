@@ -343,6 +343,26 @@ def test_outputs_sharing_a_path_exit_2(tmp_path, capsys):
         assert not shared.exists()  # refused before any work
 
 
+def test_outputs_never_overwrite_the_input(tmp_path, capsys):
+    circuit = write(tmp_path, "c.txt", CHAIN)
+    dvd = write(tmp_path, "h.map", FAN_IN_DVD)
+    other = tmp_path / "other.tsv"
+    same = f"{tmp_path}/./c.txt"  # another spelling of the input's path
+    runs = [
+        (circuit, circuit, ["solve", circuit, "--level", "3", "--out", circuit]),
+        (circuit, same, ["solve", circuit, "--level", "3", "--out", str(other), "--trace", same]),
+        (dvd, dvd, ["reduce-dvd", dvd, "--out", dvd]),
+        (dvd, dvd, ["reduce-dvd", dvd, "--out", str(tmp_path / "h")]),  # its map is h.map
+    ]
+    for source, output, argv in runs:
+        before = sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir())
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: output {output} is the input file {source}\n"
+        assert captured.out == ""
+        assert sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir()) == before
+
+
 def test_reduce_dvd_to_files(tmp_path):
     dvd = write(tmp_path, "h.txt", FAN_IN_DVD)
     out = tmp_path / "reduced.txt"

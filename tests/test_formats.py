@@ -58,29 +58,31 @@ def test_roundtrip_random_named_circuit():
     assert format_circuit(again) == text
 
 
+CIRCUIT_ERRORS = [
+    ("node a white\nnode a red\n", 2, "duplicate node name 'a'"),
+    ("node a mauve\n", 1, "unknown color 'mauve'"),
+    ("node a white extra junk\n", 1, "expected: node <name> <white|blue|red>"),
+    ("vertex a white\n", 1, "unknown directive 'vertex'"),
+    ("node a white\nedge a\n", 2, "expected: edge <src> <dst> [multiplicity]"),
+    ("node a white\nnode b red\nedge a b 0\n", 3, "bad multiplicity '0'"),
+    ("node a white\nnode b red\nedge a b two\n", 3, "bad multiplicity 'two'"),
+    ("node a white\nedge a ghost\n", 2, "edge references undeclared node 'ghost'"),
+    # Node lines and directives are read before any edge line is checked,
+    # so a later bad node or directive line is the one reported.
+    ("node a white\nedge a\nnode a red\n", 3, "duplicate node name 'a'"),
+    ("edge a ghost\nnode a white\nbogus\n", 3, "unknown directive 'bogus'"),
+    ("node a white\nnode b red\nedge a b two\nnode c mauve\n", 4, "unknown color 'mauve'"),
+]
+
+
 @pytest.mark.parametrize(
-    "text,line",
-    [
-        ("node a white\nnode a red\n", 2),
-        ("node a mauve\n", 1),
-        ("node a white extra junk\n", 1),
-        ("vertex a white\n", 1),
-        ("node a white\nedge a\n", 2),
-        ("node a white\nnode b red\nedge a b 0\n", 3),
-        ("node a white\nnode b red\nedge a b two\n", 3),
-        ("node a white\nedge a ghost\n", 2),
-        # Node lines and directives are read before any edge line is checked,
-        # so a later bad node or directive line is the one reported.
-        ("node a white\nedge a\nnode a red\n", 3),
-        ("edge a ghost\nnode a white\nbogus\n", 3),
-        ("node a white\nnode b red\nedge a b two\nnode c mauve\n", 4),
-    ],
+    "text,line,message", CIRCUIT_ERRORS, ids=[f"{text}-{line}" for text, line, _ in CIRCUIT_ERRORS]
 )
-def test_circuit_parse_errors_carry_line_numbers(text, line):
+def test_circuit_parse_errors_carry_line_numbers(text, line, message):
     with pytest.raises(ParseError) as info:
         parse_circuit(text, source="bad.circuit")
     assert info.value.line == line
-    assert "bad.circuit" in str(info.value)
+    assert str(info.value) == f"bad.circuit:{line}: {message}"
 
 
 def test_structural_errors_propagate():
@@ -154,19 +156,22 @@ def test_parse_dvd_duplicate_edges_collapse():
 
 
 def test_parse_dvd_errors():
-    for text, line in [
-        ("node a b\n", 1),
-        ("edge a b\n", 1),
-        ("node a\nnode a\n", 2),
-        ("node a\nnode b\nedge a b 2\n", 3),
-        ("node a\nedge a ghost\n", 2),
-        ("node a\nedge a\nbogus\n", 3),
-        ("edge a ghost\nnode a\nnode a\n", 3),
+    for text, line, message in [
+        ("node a b\n", 1, "expected: node <name>"),
+        ("edge a b\n", 1, "edge references undeclared node 'a'"),
+        ("node a\nnode a\n", 2, "duplicate node name 'a'"),
+        ("node a\nnode b\nedge a b 2\n", 3, "expected: edge <src> <dst>"),
+        ("node a\nedge a ghost\n", 2, "edge references undeclared node 'ghost'"),
+        # As in circuit files, node lines and directives come before edges.
+        ("node a\nedge a\nbogus\n", 3, "unknown directive 'bogus'"),
+        ("edge a ghost\nnode a\nnode a\n", 3, "duplicate node name 'a'"),
+        ("node a\nedge a\nnode a\n", 3, "duplicate node name 'a'"),
+        ("node a\nnode b\nedge a b 2\nnode c d\n", 4, "expected: node <name>"),
     ]:
         with pytest.raises(ParseError) as info:
             parse_dvd(text, source="bad.dvd")
         assert info.value.line == line
-        assert str(info.value).startswith(f"bad.dvd:{line}: ")
+        assert str(info.value) == f"bad.dvd:{line}: {message}"
 
 
 def test_marks_roundtrip_and_errors():
