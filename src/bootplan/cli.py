@@ -12,6 +12,7 @@ Exit codes, for every command:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from collections import Counter
@@ -46,13 +47,23 @@ def _open_out(path: str) -> TextIO:
         raise BootplanError(f"cannot write {path}: {exc.strerror}") from exc
 
 
+def _same_file(a: str, b: str) -> bool:
+    """Two spellings of one path, or two existing links to one file."""
+    if Path(a).resolve() == Path(b).resolve():
+        return True
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # a path is missing, so no one file has both names
+        return False
+
+
 def _require_distinct(source: str, first: str | None, second: str | None) -> None:
-    """An output on the input's path or on the other output's would overwrite
+    """An output on the input's file or on the other output's would overwrite
     it, so refuse both up front."""
     for out in (first, second):
-        if out and Path(out).resolve() == Path(source).resolve():
+        if out and _same_file(out, source):
             raise BootplanError(f"output {out} is the input file {source}")
-    if first and second and Path(first).resolve() == Path(second).resolve():
+    if first and second and _same_file(first, second):
         raise BootplanError(f"outputs {first} and {second} are the same file")
 
 

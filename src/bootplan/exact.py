@@ -7,15 +7,18 @@ subsets): TooLarge is raised when it would be bigger.  The block kernel
 checks every answer, even the whole pool, which is tried last and is always
 feasible, so below the cap the search always answers.
 
-Subsets are evaluated in numpy blocks of BLOCK_MIN growing to BLOCK_MAX, in
-the same order; `explored` is the witness's position in that order, not the
-number of subsets evaluated.
+No set smaller than the disjoint-row bound (disjoint_rows) is feasible, so
+the search starts at that size.  Subsets are evaluated in numpy blocks of
+BLOCK_MIN growing to BLOCK_MAX, in the same order; `explored` is the
+witness's position in the full (size, lexicographic) order, counting the
+skipped smaller sizes, not the number of subsets evaluated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, combinations, islice
+from math import comb
 
 import numpy as np
 
@@ -35,6 +38,48 @@ class ExactResult:
     explored: int
 
 
+def disjoint_rows(circuit: Circuit, level: int) -> list[tuple[int, ...]]:
+    """Interesting paths, less their final vertex, that share no vertex.
+
+    An interesting path runs from a Red vertex to a Red vertex through
+    level + 1 Reds, and every feasible mark set holds one of its non-final
+    vertices.  These rows are disjoint, so each needs its own mark and no set
+    of fewer than len(rows) marks is feasible.  The rows are found greedily:
+    levels are swept in topological order with the rows found so far as
+    marks.  The first vertex above `level` is Red at level + 1; walking back
+    through unmarked predecessors at the level it took (one lower past each
+    Red) reaches a Red at level 1, and the vertices walked past form the
+    next row.  The sweep resumes after that Red, the row's first vertex.
+    """
+    colors, preds, topo = circuit.colors, circuit.preds, circuit.topo
+    levels = [0] * circuit.n
+    cut: set[int] = set()
+    rows: list[tuple[int, ...]] = []
+    i = 0
+    while i < len(topo):
+        v = topo[i]
+        i += 1
+        lv = 0
+        for u in preds[v]:
+            if levels[u] > lv and u not in cut:
+                lv = levels[u]
+        if colors[v] is Color.RED:
+            lv += 1
+        levels[v] = lv
+        if lv <= level:
+            continue
+        row = []
+        want = level
+        while want:
+            v = next(u for u in preds[v] if u not in cut and levels[u] == want)
+            row.append(v)
+            want = levels[v] - (colors[v] is Color.RED)
+        cut.update(row)
+        rows.append(tuple(reversed(row)))
+        i = topo.index(v) + 1
+    return rows
+
+
 def exact_bootstrap(
     circuit: Circuit, level: int, max_subsets: int = DEFAULT_SUBSET_CAP
 ) -> ExactResult:
@@ -43,8 +88,10 @@ def exact_bootstrap(
     White vertices are excluded from the candidate pool (marking them never
     changes any level); marking every other vertex is feasible for any L >= 1,
     so the whole pool, tried last, always passes.  Subsets of one size are
-    tried in lexicographic order.  Raises TooLarge when the 2**len(pool)
-    subsets outnumber max_subsets, and ValueError when max_subsets < 1.
+    tried in lexicographic order, from the size of the disjoint-row bound
+    up; `explored` still counts the smaller sizes.  Raises TooLarge when the
+    2**len(pool) subsets outnumber max_subsets, and ValueError when
+    max_subsets < 1.
     """
     require_level(level)
     if max_subsets < 1:
@@ -60,8 +107,9 @@ def exact_bootstrap(
         for v in circuit.topo
         if v in row
     ]
-    stream = chain.from_iterable(combinations(range(n), k) for k in range(n + 1))
-    explored = 0
+    bound = len(disjoint_rows(circuit, level))
+    stream = chain.from_iterable(combinations(range(n), k) for k in range(bound, n + 1))
+    explored = sum(comb(n, k) for k in range(bound))
     block = BLOCK_MIN
     while batch := list(islice(stream, block)):
         cols = len(batch)

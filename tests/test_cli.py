@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import hashlib
+import os
 import random
+from pathlib import Path
 
 import pytest
 
@@ -361,6 +363,24 @@ def test_outputs_never_overwrite_the_input(tmp_path, capsys):
         assert captured.err == f"error: output {output} is the input file {source}\n"
         assert captured.out == ""
         assert sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir()) == before
+
+
+def test_hard_links_count_as_the_same_file(tmp_path, capsys):
+    circuit = write(tmp_path, "c.txt", CHAIN)
+    before = Path(circuit).read_bytes()
+    link = tmp_path / "h.txt"
+    os.link(circuit, link)
+    assert main(["solve", circuit, "--level", "2", "--out", str(link)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: output {link} is the input file {circuit}\n"
+    assert captured.out == ""
+    assert Path(circuit).read_bytes() == before
+    report = write(tmp_path, "r.tsv", "old report\n")
+    trace = tmp_path / "t.jsonl"
+    os.link(report, trace)
+    assert main(["solve", circuit, "--level", "2", "--out", report, "--trace", str(trace)]) == 2
+    assert capsys.readouterr().err == f"error: outputs {report} and {trace} are the same file\n"
+    assert Path(report).read_text() == "old report\n"
 
 
 def test_reduce_dvd_to_files(tmp_path):

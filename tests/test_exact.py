@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from itertools import chain, combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -12,8 +13,8 @@ import oracles
 from bootplan.circuit import Color, eval_levels, is_feasible_by_levels
 from bootplan.dvd import reduce_to_circuit, validate_dvd
 from bootplan.errors import TooLarge
-from bootplan.exact import BLOCK_MAX, BLOCK_MIN, ExactResult, exact_bootstrap
-from bootplan.generate import layered, random_circuit, red_chain
+from bootplan.exact import BLOCK_MAX, BLOCK_MIN, ExactResult, disjoint_rows, exact_bootstrap
+from bootplan.generate import layered, random_circuit, red_chain, series_parallel
 from oracles import exact_dvd, longest_path_brute, random_dvd
 from strategies import build, circuits
 
@@ -108,9 +109,12 @@ def test_levels_past_any_small_dtype_do_not_wrap():
     )
 
 
-def block_ends(total: int) -> list[int]:
-    """1-based stream positions that end a block, up to `total`."""
-    ends, block = [BLOCK_MIN], BLOCK_MIN
+def block_ends(circuit, level, total: int) -> list[int]:
+    """1-based stream positions that end a block, up to `total`.  The first
+    block starts after the sizes below the disjoint-row bound."""
+    pool = sum(1 for c in circuit.colors if c is not Color.WHITE)
+    skipped = sum(comb(pool, k) for k in range(len(disjoint_rows(circuit, level))))
+    ends, block = [skipped + BLOCK_MIN], BLOCK_MIN
     while ends[-1] < total:
         block = min(2 * block, BLOCK_MAX)
         ends.append(ends[-1] + block)
@@ -127,28 +131,91 @@ def reference_search(circuit, level):
 
 @pytest.mark.parametrize(
     "circuit, level",
-    [(red_chain(k), 1) for k in range(8, 15)] + [(layered(6, 3, 1.0, 4), 1)],
+    [
+        (layered(6, 3, 1.0, 4), 1),
+        (layered(6, 2, 0.7, 489986), 1),
+        (layered(6, 2, 0.5, 342741), 1),
+        (random_circuit(12, 998564), 1),
+        (random_circuit(15, 962810), 1),
+        (series_parallel(6, 0.8, 145463), 1),
+        (series_parallel(6, 0.8, 227669), 1),
+        (series_parallel(6, 0.8, 789121), 1),
+    ],
 )
 def test_witnesses_past_several_blocks_match_the_reference_loop(circuit, level):
     expected = reference_search(circuit, level)
-    assert len(block_ends(expected.explored)) > 3  # three blocks end before the witness
+    assert len(block_ends(circuit, level, expected.explored)) > 3  # three blocks end before it
     assert exact_bootstrap(circuit, level) == expected
 
 
 @pytest.mark.parametrize(
     "circuit, level, edge",
     [
-        (random_circuit(10, 233), 1, "last"),
-        (red_chain(11), 5, "first"),
-        (red_chain(15), 6, "first"),
-        (red_chain(13), 3, "last"),
+        (layered(5, 2, 0.7, 128068), 1, "last"),
+        (series_parallel(5, 0.8, 225630), 5, "first"),
+        (series_parallel(10, 0.9, 115850), 6, "first"),
+        (series_parallel(10, 1.0, 484912), 3, "last"),
     ],
 )
 def test_witnesses_on_a_block_edge_match_the_reference_loop(circuit, level, edge):
     expected = reference_search(circuit, level)
-    ends = block_ends(expected.explored)
+    ends = block_ends(circuit, level, expected.explored)
     assert expected.explored in (ends if edge == "last" else [e + 1 for e in ends])
     assert exact_bootstrap(circuit, level) == expected
+
+
+# --- the disjoint-row bound -------------------------------------------------
+
+
+def bound_cases(seed: int, trials: int, max_vertices: int):
+    """Seeded random and (deeper) series-parallel circuits of at most
+    max_vertices vertices, at levels 1-4."""
+    rng = random.Random(seed)
+    for trial in range(trials):
+        n = rng.randint(2, max_vertices)
+        if rng.random() < 0.6:
+            circuit = random_circuit(n, rng.randint(0, 10**6))
+        else:
+            circuit = series_parallel(n, rng.choice((0.5, 0.8, 1.0)), rng.randint(0, 10**6))
+        if circuit.n <= max_vertices:
+            yield circuit, rng.choice((1, 2, 3, 4))
+
+
+def test_disjoint_rows_are_disjoint_interesting_paths():
+    rows_seen = long_rows = 0
+    for circuit, level in bound_cases(21, 200, 12):
+        rows = disjoint_rows(circuit, level)
+        marked = [v for row in rows for v in row]
+        assert len(marked) == len(set(marked))
+        paths = {p[:-1] for p in oracles.interesting_paths_brute(circuit, level)}
+        assert paths.issuperset(rows)
+        rows_seen += len(rows)
+        long_rows += sum(len(row) > 1 for row in rows)
+    assert rows_seen > 50 and long_rows > 20  # the cases exercise the walk
+
+
+def test_disjoint_rows_bound_the_optimum():
+    for circuit, level in bound_cases(22, 200, 14):
+        rows = disjoint_rows(circuit, level)
+        assert len(rows) <= reference_search(circuit, level).optimum
+
+
+def test_disjoint_rows_are_the_optimum_on_all_red_layers_at_level_1():
+    # At L = 1 every Red with a successor must be marked, and each is a row.
+    rng = random.Random(23)
+    for trial in range(30):
+        circuit = layered(rng.randint(1, 5), rng.randint(1, 3), 1.0, rng.randint(0, 10**6))
+        assert len(disjoint_rows(circuit, 1)) == reference_search(circuit, 1).optimum
+
+
+def test_search_below_an_inexact_bound_matches_the_reference_loop():
+    strict = 0
+    for circuit, level in bound_cases(24, 1000, 16):
+        result = exact_bootstrap(circuit, level)
+        if len(disjoint_rows(circuit, level)) < result.optimum:
+            assert result == reference_search(circuit, level)
+            strict += 1
+    assert strict >= 5
 
 
 # --- deletion instances -----------------------------------------------------
