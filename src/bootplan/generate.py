@@ -1,10 +1,10 @@
 """Deterministic instance generators.
 
-Every generator takes a seed (or a random.Random) and produces the same
-instance for the same arguments, so generated files are byte-identical
-across runs.  Indegree rules are enforced by construction: non-source
-vertices draw exactly two predecessors (possibly the same one twice, which
-validate merges into a double edge) or have their single in-edge doubled.
+Every generator takes an integer seed and produces the same instance for
+the same arguments, so generated files are byte-identical across runs.
+Indegree rules are enforced by construction: non-source vertices draw
+exactly two predecessors (possibly the same one twice, which validate merges
+into a double edge) or have their single in-edge doubled.
 """
 
 from __future__ import annotations
@@ -17,12 +17,6 @@ from .circuit import Circuit, Color, validate
 def require_fraction(name: str, value: float) -> None:
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must be in [0, 1], got {value!r}")
-
-
-def _rng(seed: int | random.Random) -> random.Random:
-    if isinstance(seed, random.Random):
-        return seed
-    return random.Random(seed)
 
 
 def red_chain(length: int) -> Circuit:
@@ -39,14 +33,14 @@ def layered(
     layers: int,
     width: int,
     red_fraction: float,
-    seed: int | random.Random,
+    seed: int,
 ) -> Circuit:
     """`layers` rows of `width` vertices; row 0 is White input, every later
     vertex draws its two predecessors uniformly from the previous row."""
     if layers < 1 or width < 1:
         raise ValueError("layers and width must be >= 1")
     require_fraction("red_fraction", red_fraction)
-    rng = _rng(seed)
+    rng = random.Random(seed)
     colors: list[Color] = []
     edges: list[tuple[int, int, int]] = []
     names: list[str] = []
@@ -64,14 +58,14 @@ def layered(
     return validate(colors, edges, names=names)
 
 
-def series_parallel(size: int, red_fraction: float, seed: int | random.Random) -> Circuit:
+def series_parallel(size: int, red_fraction: float, seed: int) -> Circuit:
     """Random two-terminal series/parallel blocks, joined in series until
     there are at least `size` vertices; indegrees are fixed up by doubling
     single in-edges, and source vertices are White."""
     if size < 2:
         raise ValueError("size must be >= 2")
     require_fraction("red_fraction", red_fraction)
-    rng = _rng(seed)
+    rng = random.Random(seed)
     edges: list[list[int]] = []  # [src, dst], multiplicity fixed later
     node_count = 0
 
@@ -122,7 +116,7 @@ def series_parallel(size: int, red_fraction: float, seed: int | random.Random) -
 
 def random_circuit(
     n: int,
-    seed: int | random.Random,
+    seed: int,
     white_fraction: float = 0.3,
     red_fraction: float = 0.5,
 ) -> Circuit:
@@ -133,7 +127,7 @@ def random_circuit(
         raise ValueError("n must be >= 1")
     require_fraction("white_fraction", white_fraction)
     require_fraction("red_fraction", red_fraction)
-    rng = _rng(seed)
+    rng = random.Random(seed)
     colors: list[Color] = []
     edges: list[tuple[int, int, int]] = []
     for v in range(n):

@@ -38,7 +38,7 @@ def varied_circuit(rng, lo, hi):
     """
     return random_circuit(
         rng.randint(lo, hi),
-        rng,
+        rng.randrange(2**31),
         white_fraction=rng.uniform(0.05, 0.3),
         red_fraction=rng.uniform(0.4, 0.95),
     )
@@ -82,7 +82,7 @@ def test_acceptance_02_length_tables_match_enumeration(capsys):
     mismatches = 0
     trials = 200
     for _ in range(trials):
-        c = random_circuit(rng.randint(2, 10), rng)
+        c = random_circuit(rng.randint(2, 10), rng.randrange(2**31))
         level = rng.choice((1, 2, 3))
         weights = [0.0 if c.colors[v].value == "white" else rng.random() for v in range(c.n)]
         tables = level_lengths(c, level, weights)

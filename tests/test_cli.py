@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import os
 import random
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -81,6 +82,46 @@ def test_solve_exact(tmp_path, capsys):
     assert "cardinality: 1" in out
     assert "verified_feasible: yes" in out
     assert "marks: r1" in out
+
+
+def test_solve_exact_on_an_empty_circuit(tmp_path, capsys):
+    circuit = write(tmp_path, "empty.txt", "")
+    assert main(["solve", circuit, "--level", "1", "--method", "exact"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "exact_optimum: 0" in out
+    assert "subsets_explored: 1" in out
+
+
+LAYERED_6X8 = ["gen", "--kind", "layered", "--layers", "6", "--width", "8",
+               "--red-fraction", "0.4", "--seed", "1"]
+
+
+@pytest.mark.parametrize(
+    "make, level, options",
+    [
+        (LAYERED_6X8, "2", ["--method", "lp-round"]),
+        (LAYERED_6X8, "2", ["--method", "after-red"]),
+        (LAYERED_6X8, "2", ["--method", "greedy"]),
+        (LAYERED_6X8, "2", ["--seed", "3"]),
+        (["gen", "--kind", "red-chain", "--length", "7"], "3", ["--method", "exact"]),
+        (["reduce-dvd", "pair.dvd"], "2", []),
+    ],
+    ids=["lp-round", "after-red", "greedy", "seeded", "exact", "reduced"],
+)
+def test_report_file_marks_pass_check(tmp_path, capsys, monkeypatch, make, level, options):
+    # Each command writes the next one's input: the circuit, the report, the marks.
+    monkeypatch.chdir(tmp_path)
+    Path("pair.dvd").write_text("node a\nnode b\nedge a b\n")
+    assert main([*make, "--out", "in.txt"]) == 0
+    assert main(["solve", "in.txt", "--level", level, *options, "--out", "r.tsv"]) == 0
+    report = dict(line.split("\t", 1) for line in Path("r.tsv").read_text().splitlines())
+    assert report["verified_feasible"] == "yes"
+    if "--seed" in options:
+        assert report["seed"] == "3"
+    Path("m.txt").write_text(report["marks"] + "\n")
+    capsys.readouterr()
+    assert main(["check", "in.txt", "m.txt", "--level", level]) == 0
+    assert "feasible: max level" in capsys.readouterr().out
 
 
 def test_solve_lp_round_with_report_file(tmp_path, capsys):
@@ -305,6 +346,23 @@ def test_solve_checks_the_level_before_parsing(tmp_path, capsys):
     assert "purple" not in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("node a\nbogus\n", "2: unknown directive 'bogus'"),
+        # Node lines are read first, so the duplicate is reported, not the edge.
+        ("node a\nedge a ghost\nnode a\n", "3: duplicate node name 'a'"),
+    ],
+    ids=["unknown-directive", "duplicate-after-bad-edge"],
+)
+def test_reduce_dvd_names_the_bad_line(tmp_path, capsys, text, message):
+    dvd = write(tmp_path, "bad.dvd", text)
+    assert main(["reduce-dvd", dvd]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {dvd}:{message}\n"
+    assert captured.out == ""
+
+
 def test_reduce_dvd_takes_no_level(tmp_path, capsys):
     # The reduction is the same for every level, so the option is gone.
     dvd = write(tmp_path, "h.txt", FAN_IN_DVD)
@@ -431,3 +489,9 @@ def test_check_rejects_unknown_mark_names(tmp_path, capsys):
     marks = write(tmp_path, "m.txt", "r9\n")
     assert main(["check", circuit, marks, "--level", "2"]) == 2
     assert "unknown vertex name" in capsys.readouterr().err
+
+
+def test_smoke_script_parses():
+    script = Path(__file__).with_name("smoke.sh")
+    result = subprocess.run(["bash", "-n", str(script)], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

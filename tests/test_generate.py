@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-import random
 
 import pytest
 
@@ -77,13 +76,6 @@ def test_series_parallel_validates_across_seeds():
             assert indeg in (0, 2)
             if indeg == 0:
                 assert c.colors[v] is Color.WHITE
-
-
-def test_random_circuit_accepts_shared_rng():
-    rng = random.Random(7)
-    first = random_circuit(10, rng)
-    second = random_circuit(10, rng)
-    assert first.edges != second.edges or first.colors != second.colors
 
 
 def test_random_dvd_edges_are_forward():

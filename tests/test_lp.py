@@ -282,7 +282,7 @@ def test_chain_relaxation_value_one():
 def test_relaxation_certificate_and_row_satisfaction():
     rng = random.Random(23)
     for trial in range(25):
-        c = random_circuit(rng.randint(4, 12), rng)
+        c = random_circuit(rng.randint(4, 12), rng.randrange(2**31))
         level = rng.choice((1, 2, 3))
         result = solve_relaxation(c, level)
         tables = level_lengths(c, level, result.weights)
@@ -298,7 +298,8 @@ def test_relaxation_returns_the_table_it_certified():
     rng = random.Random(41)
     for trial in range(30):
         size = rng.randint(4, 14)
-        c = (random_circuit(size, rng), layered(3, size // 3, 0.5, rng))[trial % 2]
+        seed = rng.randrange(2**31)
+        c = (random_circuit(size, seed), layered(3, size // 3, 0.5, seed))[trial % 2]
         level = rng.choice((1, 2, 3))
         result = solve_relaxation(c, level)
         rebuilt = level_lengths(c, level, result.weights)
@@ -311,7 +312,7 @@ def test_relaxation_lower_bounds_every_feasible_set():
     """LP value <= any integral feasible cardinality (spot check vs full LP)."""
     rng = random.Random(31)
     for trial in range(15):
-        c = random_circuit(rng.randint(4, 10), rng)
+        c = random_circuit(rng.randint(4, 10), rng.randrange(2**31))
         level = rng.choice((1, 2))
         result = solve_relaxation(c, level)
         paths = oracles.interesting_paths_brute(c, level)

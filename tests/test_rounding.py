@@ -55,7 +55,7 @@ def test_breakpoints_frozen():
 def test_breakpoints_bound():
     rng = random.Random(7)
     for trial in range(20):
-        c = random_circuit(rng.randint(3, 14), rng)
+        c = random_circuit(rng.randint(3, 14), rng.randrange(2**31))
         level = rng.choice((1, 2, 3))
         weights = [rng.random() for _ in range(c.n)]
         tables = level_lengths(c, level, weights)
@@ -168,7 +168,7 @@ def test_marks_at_zero_include_every_red(args, level):
 def test_rounding_lp_solution_feasible_at_every_breakpoint():
     rng = random.Random(13)
     for trial in range(20):
-        c = random_circuit(rng.randint(4, 12), rng)
+        c = random_circuit(rng.randint(4, 12), rng.randrange(2**31))
         level = rng.choice((1, 2, 3))
         result = solve_relaxation(c, level)
         tables = level_lengths(c, level, result.weights)
@@ -183,7 +183,7 @@ def test_rounding_lp_solution_feasible_at_every_breakpoint():
 def test_derandomized_is_minimum_over_thresholds():
     rng = random.Random(17)
     for trial in range(15):
-        c = random_circuit(rng.randint(4, 11), rng)
+        c = random_circuit(rng.randint(4, 11), rng.randrange(2**31))
         level = rng.choice((1, 2))
         result = solve_relaxation(c, level)
         tables = level_lengths(c, level, result.weights)
