@@ -22,14 +22,16 @@ packing column, entering at z = 0 with its violation as reduced cost, and a
 vertex new to the master is a new packing row whose slack is basic at 1.  So
 the last master's basis stays feasible, and each round starts from it
 (warm start) rather than from the all-slack basis, which only the first
-master uses; no phase 1 is needed.  The master assumes all this of its one
-caller, solve_relaxation, and checks none of it, nor that each row is
-nonempty and within 0..n-1.  The tableau B^-1 [A' | I | 1] is built
-from the basis on entry and rebuilt the same way every REFACTOR_EVERY
-pivots, which drops the rounding error pivots accumulate.  Pricing is
-Dantzig's rule (largest reduced cost, smallest index on ties); after
-BLAND_AFTER degenerate pivots in a row, Bland's smallest-index rule prices
-until the next nondegenerate pivot, so degenerate stretches cannot cycle.
+master uses; no phase 1 is needed.  The tableau B^-1 [A' | I | 1] is
+carried with the basis in a Master and extended by the new rows rather
+than solved for on entry (see Master.extend).  The master assumes all this
+of its one caller, solve_relaxation, and checks none of it, nor that each
+row is nonempty and within 0..n-1.  The tableau is rebuilt from its basis
+every REFACTOR_EVERY pivots, counted across rounds, which drops the
+rounding error pivots accumulate.  Pricing is Dantzig's rule (largest
+reduced cost, smallest index on ties); after BLAND_AFTER degenerate pivots
+in a row, Bland's smallest-index rule prices until the next nondegenerate
+pivot, so degenerate stretches cannot cycle.
 The ratio test reads negative right-hand sides as 0 and ratios within
 _TIE_TOL of the least as ties, which the smallest basic index leaves, so
 rounding noise cannot break Bland's rule.
@@ -42,8 +44,9 @@ again raises NumericalFailure.
 
 from __future__ import annotations
 
-from collections.abc import Collection, Set
+from collections.abc import Collection, Iterable, Set
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import TextIO
 
 import numpy as np
@@ -57,7 +60,7 @@ PIVOT_TOL = 1e-9
 _REDCOST_TOL = 1e-9
 _TIE_TOL = 1e-12
 CERT_TOL = 1e-9
-REFACTOR_EVERY = 100  # pivots between rebuilds of the tableau from its basis
+REFACTOR_EVERY = 100  # pivots, across rounds, between rebuilds of the tableau from its basis
 ROUNDS_PER_VERTEX_LEVEL = 10  # row-generation rounds allowed per vertex and level
 BLAND_AFTER = 50  # consecutive degenerate pivots before Bland's rule prices
 
@@ -73,113 +76,165 @@ class LpResult:
     tables: LevelTables = field(repr=False, compare=False)
 
 
-def _solve_covering_lp(
-    a: np.ndarray, basis: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """min 1'x  s.t.  A x >= 1,  x >= 0, for a dense 0/1 matrix A.
+class Master:
+    """The restricted master's packing LP in tableau form, carried from one
+    round of row generation to the next.
 
-    Primal simplex on the packing dual  max 1'z  s.t.  A'z <= 1,  z >= 0,
-    over the columns of [A' | I] (z, then one slack per packing row).
-    `basis` holds the basic column of each packing row and must be primal
-    feasible, arange(m, m + k) being the slack basis.  At the optimum x is
-    the dual price of each packing row, which is minus the reduced cost of
-    that row's slack.  Returns (x, z, final basis).
+    The packing rows, the tableau rows and the slack columns all follow
+    `vertices`, in descending id order; the packing columns follow the
+    master's rows.  `packing` is A', one row per vertex and one column per
+    master row; `tableau` is B^-1 [A' | I | 1] for the basic column
+    `basis[i]` of each tableau row i, and `reduced` holds the reduced costs,
+    minus the objective last.  `pivots` counts pivots since the tableau was
+    last built from its basis.  A new Master is the state before the first
+    round: no rows.
     """
-    m, k = a.shape
-    full = np.hstack([a.T, np.eye(k), np.ones((k, 1))])
-    cost = np.concatenate([np.ones(m), np.zeros(k + 1)])
-    basis = np.array(basis)
-    limit = 200 * (2 * m + k) + 1000
-    degenerate = 0  # consecutive pivots with a step of at most PIVOT_TOL
-    for pivots in range(limit):
-        if pivots % REFACTOR_EVERY == 0:
-            # Rebuild B^-1 [A' | I | 1] from the basis, dropping the rounding
-            # error the pivots accumulated.  The reduced costs (the last entry,
-            # under the right-hand side, is minus the objective) are updated
-            # by every pivot like one more tableau row.
-            try:
-                tableau = np.linalg.solve(full[:, basis], full)
-            except np.linalg.LinAlgError:
-                raise NumericalFailure("singular simplex basis") from None
-            reduced = cost - cost[basis] @ tableau
-        if degenerate < BLAND_AFTER:
-            j = int(np.argmax(reduced[:-1]))  # Dantzig: largest, then smallest index
-        else:
-            j = int(np.argmax(reduced[:-1] > _REDCOST_TOL))  # Bland: smallest index
-        if reduced[j] <= _REDCOST_TOL:
-            break
-        col = tableau[:, j].copy()
-        # Only entries above PIVOT_TOL may pivot; without one the direction
-        # is unbounded, which a packing LP over nonempty rows never is.
-        rows = np.flatnonzero(col > PIVOT_TOL)
-        if rows.size == 0:
-            raise NumericalFailure("no pivot above tolerance: unbounded direction")
-        # Negative right-hand sides count as 0 and near-equal ratios tie;
-        # otherwise rounding noise, not the index, picks the leaving row of
-        # a degenerate step, and Bland's rule can stall past the cap.
-        ratios = np.maximum(tableau[rows, -1], 0.0) / col[rows]
-        step = ratios.min()
-        ties = rows[ratios <= step + _TIE_TOL]
-        r = int(ties[np.argmin(basis[ties])])  # smallest leaving index
-        degenerate = degenerate + 1 if step <= PIVOT_TOL else 0
-        pivot_row = tableau[r] / col[r]
-        tableau -= np.outer(col, pivot_row)
-        tableau[r] = pivot_row
-        reduced -= reduced[j] * pivot_row
-        basis[r] = j
-    else:
-        raise IterationLimitExceeded("simplex iteration limit hit")
 
-    z = np.zeros(m)
-    packed = basis < m
-    z[basis[packed]] = tableau[packed, -1]
-    return np.clip(-reduced[m:-1], 0.0, 1.0), z, basis
+    def __init__(self) -> None:
+        self.vertices: list[int] = []
+        self.packing = np.zeros((0, 0))
+        self.tableau = np.zeros((0, 1))
+        self.reduced = np.zeros(1)
+        self.basis = np.zeros(0, dtype=np.intp)
+        self.pivots = 0
+
+    def extend(self, rows: Iterable[Set[int]]) -> None:
+        """Append the rows of `rows` past this master's own, which must be
+        their prefix, as packing columns, and their new vertices as packing
+        rows with basic slacks.
+
+        A new vertex occurs only in new rows, so the old basic columns are 0
+        on its packing row and B^-1 extends block-diagonally: the old tableau
+        rows gain the new columns as B^-1 times their old-vertex part, and
+        the new vertex rows enter as they are in [A' | I | 1].
+        """
+        k, m = self.packing.shape
+        fresh = list(islice(rows, m, None))
+        vertices = sorted(set(self.vertices).union(*fresh), reverse=True)
+        k2, m2 = len(vertices), m + len(fresh)
+        pos = {v: i for i, v in enumerate(vertices)}
+        old = np.array([pos[v] for v in self.vertices], dtype=np.intp)
+        packing = np.zeros((k2, m2))
+        packing[old, :m] = self.packing
+        vertex_at = [pos[v] for r in fresh for v in r]
+        row_at = [i for i, r in enumerate(fresh, m) for _ in r]
+        packing[vertex_at, row_at] = 1.0
+        # Where each old column goes: old packing columns stay, the new ones
+        # follow them, and the slacks interleave with the new vertices'.
+        moved = np.concatenate([np.arange(m), m2 + old, [m2 + k2]])
+        carried = np.zeros((k, m2 + k2 + 1))
+        carried[:, moved] = self.tableau
+        carried[:, m:m2] = self.tableau[:, m:-1] @ packing[old, m:]  # B^-1 times the new columns
+        tableau = np.zeros((k2, m2 + k2 + 1))
+        tableau[:, m:m2] = packing[:, m:]
+        tableau[:, m2:] = np.eye(k2, k2 + 1)
+        tableau[:, -1] = 1.0
+        tableau[old] = carried
+        basis = np.arange(m2, m2 + k2)
+        basis[old] = moved[self.basis]
+        reduced = np.zeros(m2 + k2 + 1)
+        reduced[moved] = self.reduced
+        reduced[m:m2] = 1.0 - tableau[basis < m2, m:m2].sum(axis=0)
+        self.vertices, self.packing, self.tableau, self.reduced, self.basis = (
+            vertices, packing, tableau, reduced, basis,
+        )
+
+    def refactor(self) -> None:
+        """Rebuild the tableau and reduced costs from the basis, dropping the
+        rounding error that pivots accumulate."""
+        k, m = self.packing.shape
+        full = np.hstack([self.packing, np.eye(k), np.ones((k, 1))])
+        try:
+            self.tableau = np.linalg.solve(full[:, self.basis], full)
+        except np.linalg.LinAlgError:
+            raise NumericalFailure("singular simplex basis") from None
+        cost = np.concatenate([np.ones(m), np.zeros(k + 1)])
+        self.reduced = cost - cost[self.basis] @ self.tableau
+        self.pivots = 0
+
+    def simplex(self) -> tuple[np.ndarray, np.ndarray]:
+        """Pivot to an optimum of  max 1'z  s.t.  A'z <= 1,  z >= 0  over the
+        columns of [A' | I] (z, then one slack per packing row), from the
+        current basis, which must be primal feasible.  Returns (x, z): x,
+        over `vertices`, is the dual price of each packing row, which is
+        minus the reduced cost of its slack; z is the packing solution.
+        """
+        k, m = self.packing.shape
+        limit = 200 * (2 * m + k) + 1000
+        degenerate = 0  # consecutive pivots with a step of at most PIVOT_TOL
+        for _ in range(limit):
+            if self.pivots >= REFACTOR_EVERY:
+                self.refactor()
+            tableau, reduced, basis = self.tableau, self.reduced, self.basis
+            if degenerate < BLAND_AFTER:
+                j = int(reduced[:-1].argmax())  # Dantzig: largest, then smallest index
+            else:
+                j = int((reduced[:-1] > _REDCOST_TOL).argmax())  # Bland: smallest index
+            if reduced[j] <= _REDCOST_TOL:
+                break
+            col = tableau[:, j]
+            # Only entries above PIVOT_TOL may pivot; without one the direction
+            # is unbounded, which a packing LP over nonempty rows never is.
+            rows = (col > PIVOT_TOL).nonzero()[0]
+            if rows.size == 0:
+                raise NumericalFailure("no pivot above tolerance: unbounded direction")
+            # Negative right-hand sides count as 0 and near-equal ratios tie;
+            # otherwise rounding noise, not the index, picks the leaving row of
+            # a degenerate step, and Bland's rule can stall past the cap.
+            ratios = np.maximum(tableau[rows, -1], 0.0) / col[rows]
+            step = ratios.min()
+            ties = rows[ratios <= step + _TIE_TOL]
+            r = int(ties[basis[ties].argmin()])  # smallest leaving index
+            degenerate = degenerate + 1 if step <= PIVOT_TOL else 0
+            pivot_row = tableau[r] / col[r]
+            tableau -= col[:, None] * pivot_row  # the product is built before col changes
+            tableau[r] = pivot_row
+            reduced -= reduced[j] * pivot_row
+            basis[r] = j
+            self.pivots += 1
+        else:
+            raise IterationLimitExceeded("simplex iteration limit hit")
+        z = np.zeros(m)
+        packed = self.basis < m
+        z[self.basis[packed]] = self.tableau[packed, -1]
+        return np.clip(-self.reduced[m:-1], 0.0, 1.0), z
 
 
 def solve_restricted_master(
-    n: int, rows: Collection[Set[int]], basis: dict[int, int]
+    n: int, rows: Collection[Set[int]], master: Master
 ) -> tuple[list[float], float]:
     """Optimal fractional weights for the current row set.
 
     Returns a full-length weight vector (vertices outside every row get 0)
-    and the objective, which equals the weight sum.  `basis` maps each
-    vertex of an earlier master ({} for none), whose rows were a prefix of
-    `rows`, to its packing row's basic column: a row's index in `rows`, or ~v
-    for the slack of vertex v.  The solve starts from it, with the slack of
-    every vertex new to the master basic, and writes the final basis back
-    into it; the rows and basis are solve_relaxation's, unchecked (see the
-    module docstring).  Raises NumericalFailure for a singular basis, and
-    when the simplex result fails its optimality certificate twice: once as
-    solved, once more after refactoring from its final basis and pivoting on.
+    and the objective, which equals the weight sum.  `master` holds the
+    previous master, whose rows are a prefix of `rows` (Master() before the
+    first); it is extended by the rest and solved from its basis, and left
+    holding this master.  The rows and master are solve_relaxation's,
+    unchecked (see the module docstring).  Raises NumericalFailure for a
+    singular basis, and when the simplex result fails its optimality
+    certificate twice: once as solved, once more after refactoring from its
+    final basis and pivoting on.
     """
     if not rows:
         return [0.0] * n, 0.0
-    # Pricing breaks ties by column order; descending ids send ties between
-    # optimal weight vectors to the later vertex.
-    active = sorted(set().union(*rows), reverse=True)
-    col = {v: i for i, v in enumerate(active)}
-    m = len(rows)
-    a = np.zeros((m, len(active)))
-    for i, r in enumerate(rows):
-        for v in r:
-            a[i, col[v]] = 1.0
-    # Old rows keep their basic columns and a new vertex its slack, at 1; new
-    # rows enter as nonbasic packing columns at 0, so this basis is feasible.
-    labels = [basis.get(v, ~v) for v in active]
-    columns = np.array([c if c >= 0 else m + col[~c] for c in labels], dtype=np.intp)
-    for _ in range(2):
-        y, z, columns = _solve_covering_lp(a, columns)
+    master.extend(rows)
+    packing = master.packing
+    for attempt in range(2):
+        if attempt:
+            master.refactor()
+        y, z = master.simplex()
         objective = float(y.sum())
         # z >= 0, A'z <= 1, A x >= 1 and 1'z = 1'x, each within CERT_TOL (NaN fails).
-        residuals = (-z.min(), (a.T @ z).max() - 1, 1 - (a @ y).min(), abs(z.sum() - objective))
+        residuals = (
+            -z.min(), (packing @ z).max() - 1, 1 - (y @ packing).min(), abs(z.sum() - objective)
+        )
         if all(r <= CERT_TOL for r in residuals):
             break
     else:
         raise NumericalFailure(f"master failed its optimality certificate by {max(residuals):.1e}")
-    basis.update((v, int(c) if c < m else ~active[c - m]) for v, c in zip(active, columns))
     weights = [0.0] * n
-    for v, i in col.items():
-        weights[v] = float(y[i])
+    for v, w in zip(master.vertices, y.tolist()):
+        weights[v] = w
     return weights, objective
 
 
@@ -201,9 +256,9 @@ def solve_relaxation(
     n = circuit.n
     max_iterations = max(1, ROUNDS_PER_VERTEX_LEVEL * n * level)
     rows: dict[frozenset[int], None] = {}  # insertion-ordered set
-    basis: dict[int, int] = {}  # the last master's, carried into the next
+    master = Master()  # the last master, carried into the next
     for iteration in range(1, max_iterations + 1):
-        weights, objective = solve_restricted_master(n, rows, basis)
+        weights, objective = solve_restricted_master(n, rows, master)
         tables = level_lengths(circuit, level, weights)
         final_row = tables.lengths[level + 1]
         violated = added = 0

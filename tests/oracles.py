@@ -20,6 +20,7 @@ import numpy as np
 from bootplan.circuit import Circuit, Color
 from bootplan.dvd import DvdInstance, ReductionMap, validate_dvd
 from bootplan.exact import ExactResult
+from bootplan.lp import Master
 from bootplan.paths import LevelTables
 
 
@@ -176,20 +177,23 @@ def covering_lp_by_vertex_enumeration(
 
 
 def assert_master_input(
-    n: int, rows: Sequence[Set[int]], basis: dict[int, int], earlier: Sequence[Set[int]]
+    n: int, rows: Sequence[Set[int]], master: Master, earlier: Sequence[Set[int]]
 ) -> None:
     """What lp.solve_restricted_master assumes of its caller and does not
     check: every row is nonempty and within 0..n-1, the rows extend the
-    previous call's `earlier`, and every basis entry maps a vertex of these
-    rows to a row index of this master or to ~v, the slack of one of its
-    vertices v."""
+    previous call's `earlier`, and the carried master is that call's.  Its
+    vertices are those of `earlier` in descending order, its packing matrix
+    holds exactly the rows of `earlier`, and each tableau row's basic column
+    is one of its packing or slack columns."""
     for row in rows:
         assert row and all(0 <= v < n for v in row), f"bad row {sorted(row)}"
     assert list(rows[: len(earlier)]) == list(earlier), "rows do not extend the last master's"
-    vertices = set().union(*rows)
-    assert set(basis) <= vertices, "basis keys a vertex outside the master"
-    for label in basis.values():
-        assert label < len(rows) and (label >= 0 or ~label in vertices), f"bad label {label}"
+    assert master.vertices == sorted(set().union(*earlier), reverse=True), "vertices differ"
+    held = [frozenset(master.vertices[j] for j in np.flatnonzero(c)) for c in master.packing.T]
+    assert held == list(earlier), "packing matrix holds other rows"
+    k, m = master.packing.shape
+    assert master.tableau.shape == (k, m + k + 1) and master.reduced.shape == (m + k + 1,)
+    assert master.basis.shape == (k,) and all(0 <= c < m + k for c in master.basis), "bad basis"
 
 
 def dvd_edges(instance: DvdInstance) -> tuple[tuple[int, int], ...]:

@@ -216,10 +216,10 @@ def test_failed_solve_removes_its_report_file(tmp_path, capsys):
 
 
 def test_simplex_iteration_cap_exits_3(tmp_path, capsys, monkeypatch):
-    def capped(a, basis):
+    def capped(master):
         raise IterationLimitExceeded("simplex iteration limit hit")
 
-    monkeypatch.setattr(lp, "_solve_covering_lp", capped)
+    monkeypatch.setattr(lp.Master, "simplex", capped)
     circuit = write(tmp_path, "c.txt", CHAIN)
     assert main(["solve", circuit, "--level", "3"]) == 3
     assert "error: simplex iteration limit hit" in capsys.readouterr().err

@@ -16,7 +16,7 @@ from bootplan import lp
 from bootplan.circuit import is_feasible_by_levels
 from bootplan.errors import IterationLimitExceeded, NumericalFailure
 from bootplan.generate import layered, random_circuit, red_chain
-from bootplan.lp import solve_relaxation, solve_restricted_master
+from bootplan.lp import Master, solve_relaxation, solve_restricted_master
 from bootplan.paths import level_lengths
 from strategies import build, circuits
 
@@ -40,13 +40,13 @@ def scipy_covering_optimum(rows, n):
 
 
 def test_no_rows_means_zero():
-    weights, objective = solve_restricted_master(4, [], {})
+    weights, objective = solve_restricted_master(4, [], Master())
     assert weights == [0.0] * 4
     assert objective == 0.0
 
 
 def test_single_row_costs_one():
-    weights, objective = solve_restricted_master(3, [frozenset({0, 2})], {})
+    weights, objective = solve_restricted_master(3, [frozenset({0, 2})], Master())
     assert objective == pytest.approx(1.0, abs=1e-9)
     assert weights[0] + weights[2] == pytest.approx(1.0, abs=1e-9)
     assert weights[1] == 0.0
@@ -55,7 +55,7 @@ def test_single_row_costs_one():
 def test_triangle_rows_cost_three_halves():
     # {a,b}, {b,c}, {a,c}: every pair must sum to 1, optimum x = 1/2 each.
     rows = [frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 2})]
-    weights, objective = solve_restricted_master(3, rows, {})
+    weights, objective = solve_restricted_master(3, rows, Master())
     assert objective == pytest.approx(1.5, abs=1e-9)
     # Second route: exhaustive vertex enumeration of the 3-constraint polytope.
     assert oracles.covering_lp_by_vertex_enumeration(rows, 3) == pytest.approx(1.5)
@@ -65,12 +65,12 @@ def test_triangle_rows_cost_three_halves():
 
 def test_disjoint_rows_add_up():
     rows = [frozenset({0, 1}), frozenset({2}), frozenset({3, 4, 5})]
-    _, objective = solve_restricted_master(6, rows, {})
+    _, objective = solve_restricted_master(6, rows, Master())
     assert objective == pytest.approx(3.0, abs=1e-9)
 
 
 def test_duplicate_vertex_row_requires_full_unit():
-    weights, objective = solve_restricted_master(2, [frozenset({1})], {})
+    weights, objective = solve_restricted_master(2, [frozenset({1})], Master())
     assert weights[1] == pytest.approx(1.0)
     assert objective == pytest.approx(1.0)
 
@@ -80,13 +80,15 @@ def test_simplex_iteration_cap_raises(monkeypatch):
     # and pivots onto itself, so only the iteration cap ends the loop.
     monkeypatch.setattr(lp, "_REDCOST_TOL", -1.0)
     with pytest.raises(IterationLimitExceeded):
-        solve_restricted_master(3, [frozenset({0, 2})], {})
+        solve_restricted_master(3, [frozenset({0, 2})], Master())
 
 
 def test_master_returns_its_packing_certificate():
     # An odd cycle of pairs: x = z = 1/2 everywhere, objective 3/2.
-    a = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]])
-    x, z, _ = lp._solve_covering_lp(a, np.arange(3, 6))  # the slack basis
+    master = Master()
+    master.extend([frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 2})])
+    assert master.basis.tolist() == [3, 4, 5]  # the slack basis
+    x, z = master.simplex()
     assert x == pytest.approx([0.5] * 3, abs=1e-12)
     assert z == pytest.approx([0.5] * 3, abs=1e-12)
 
@@ -97,13 +99,19 @@ def test_uncertified_master_raises(monkeypatch):
     monkeypatch.setattr(lp, "_REDCOST_TOL", 0.9)
     rows = [frozenset(r) for r in ({0, 1}, {0, 2}, {0, 3}, {1, 2})]
     with pytest.raises(NumericalFailure, match="certificate"):
-        solve_restricted_master(4, rows, {})
+        solve_restricted_master(4, rows, Master())
 
 
 def test_bad_start_basis_raises():
-    # Both packing rows claim row 0 as their basic column.
+    # Both packing rows claim row 0 as their basic column, and the carried
+    # pivot count makes the next master rebuild its tableau from that basis.
+    rows = [frozenset({0, 1})]
+    master = Master()
+    master.extend(rows)
+    master.basis[:] = 0
+    master.pivots = lp.REFACTOR_EVERY
     with pytest.raises(NumericalFailure, match="singular"):
-        solve_restricted_master(2, [frozenset({0, 1})], {0: 0, 1: 0})
+        solve_restricted_master(2, rows + [frozenset({0})], master)
 
 
 def grown_master(rng, n, rounds):
@@ -142,10 +150,10 @@ def recorded_masters(circuit, level):
     masters = []
     solve = lp.solve_restricted_master
 
-    def record(n, rows, basis):
-        oracles.assert_master_input(n, list(rows), basis, masters[-1] if masters else [])
+    def record(n, rows, master):
+        oracles.assert_master_input(n, list(rows), master, masters[-1] if masters else [])
         masters.append(list(rows))
-        return solve(n, rows, basis)
+        return solve(n, rows, master)
 
     lp.solve_restricted_master = record
     try:
@@ -157,8 +165,8 @@ def recorded_masters(circuit, level):
 
 @pytest.mark.parametrize("bland_after", [lp.BLAND_AFTER, 1], ids=["default", "eager-bland"])
 def test_warm_started_master_matches_cold_and_highs(monkeypatch, bland_after):
-    """A master started from the previous round's basis reaches the same
-    optimum as one started from the slack basis, and as HiGHS.  The
+    """A master carried from the previous round reaches the same optimum
+    as one started from the slack basis, and as HiGHS.  The
     400-vertex circuit's masters run more than BLAND_AFTER degenerate pivots
     in a row, so they price by Bland's rule at the default too; eager-bland
     switches to it after every degenerate pivot."""
@@ -168,20 +176,82 @@ def test_warm_started_master_matches_cold_and_highs(monkeypatch, bland_after):
     grown.append((big.n, recorded_masters(big, 3)[1:]))
     monkeypatch.setattr(lp, "BLAND_AFTER", bland_after)
     for n, masters in grown:
-        basis: dict[int, int] = {}
+        master = Master()
         for rows in masters:
-            warm_weights, warm = solve_restricted_master(n, rows, basis)
-            _, cold = solve_restricted_master(n, rows, {})
-            assert set(basis) == set().union(*rows)
+            warm_weights, warm = solve_restricted_master(n, rows, master)
+            _, cold = solve_restricted_master(n, rows, Master())
+            assert set(master.vertices) == set().union(*rows)
+            assert master.packing.shape == (len(master.vertices), len(rows))
             assert warm == pytest.approx(cold, abs=1e-9)
             assert warm == pytest.approx(scipy_covering_optimum(rows, n), abs=1e-9)
             for row in rows:
                 assert sum(warm_weights[v] for v in row) >= 1.0 - 1e-9
 
 
+def test_corrupted_carried_tableau_is_repaired(monkeypatch):
+    """Halving the carried right-hand sides leaves every pivot choice as it
+    was, so the next master reaches its optimal basis with z halved; the
+    certificate rejects that, and the refactor from the final basis repairs
+    it."""
+    cycle = [frozenset({i, (i + 1) % 5}) for i in range(5)]
+    master = Master()
+    solve_restricted_master(5, cycle[:4], master)
+    master.tableau[:, -1] *= 0.5
+    refactor = lp.Master.refactor
+    refactors = []
+
+    def counted(self):
+        refactors.append(1)
+        refactor(self)
+
+    monkeypatch.setattr(lp.Master, "refactor", counted)
+    weights, objective = solve_restricted_master(5, cycle, master)
+    assert len(refactors) == 1
+    assert objective == pytest.approx(scipy_covering_optimum(cycle, 5), abs=1e-9)
+    assert objective == pytest.approx(2.5, abs=1e-9)
+    for row in cycle:
+        assert sum(weights[v] for v in row) >= 1.0 - 1e-9
+
+
+def test_carried_master_solves_only_to_rebuild(monkeypatch):
+    """No master solves for its tableau on entry: np.linalg.solve runs only
+    in the rebuilds after every REFACTOR_EVERY pivots, counted across
+    rounds.  The 750-vertex circuit's dozen or so masters run thousands of
+    pivots; a solve on entry would add one per master."""
+    solves = []
+    solve = np.linalg.solve
+
+    def counted_solve(*args):
+        solves.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    since_rebuild = []  # pivots since the last rebuild, at each rebuild
+    refactor = lp.Master.refactor
+
+    def counted_refactor(self):
+        since_rebuild.append(self.pivots)
+        refactor(self)
+
+    monkeypatch.setattr(lp.Master, "refactor", counted_refactor)
+    masters = []
+    master_solve = lp.solve_restricted_master
+
+    def record(n, rows, master):
+        masters.append(master)
+        return master_solve(n, rows, master)
+
+    monkeypatch.setattr(lp, "solve_restricted_master", record)
+    solve_relaxation(layered(15, 50, 0.3, 1), 3)
+    pivots = sum(since_rebuild) + masters[-1].pivots
+    assert pivots > lp.REFACTOR_EVERY
+    assert since_rebuild == [lp.REFACTOR_EVERY] * len(solves)
+    assert len(solves) == pivots // lp.REFACTOR_EVERY
+
+
 def test_empty_row_rejected():
     with pytest.raises(NumericalFailure, match="unbounded direction"):
-        solve_restricted_master(2, [frozenset()], {})
+        solve_restricted_master(2, [frozenset()], Master())
 
 
 @pytest.mark.parametrize(
@@ -203,7 +273,7 @@ def test_master_solution_is_feasible_and_bounded():
             frozenset(rng.sample(range(n), rng.randint(1, min(4, n))))
             for _ in range(rng.randint(1, 10))
         ]
-        weights, objective = solve_restricted_master(n, rows, {})
+        weights, objective = solve_restricted_master(n, rows, Master())
         assert all(-1e-9 <= w <= 1 + 1e-9 for w in weights)
         for row in rows:
             assert sum(weights[v] for v in row) >= 1.0 - 1e-7
@@ -219,7 +289,7 @@ def test_master_matches_vertex_enumeration_on_small_lps():
             frozenset(rng.sample(range(n), rng.randint(1, n)))
             for _ in range(rng.randint(1, 4))
         ]
-        _, objective = solve_restricted_master(n, rows, {})
+        _, objective = solve_restricted_master(n, rows, Master())
         expected = oracles.covering_lp_by_vertex_enumeration(rows, n)
         assert objective == pytest.approx(expected, abs=1e-9)
 
@@ -244,7 +314,7 @@ def test_master_matches_highs_at_master_scale():
                     rows.append(frozenset(base) | {rng.randrange(n)})
             else:
                 rows.append(frozenset(rng.sample(range(n), rng.randint(2, 8))))
-        weights, objective = solve_restricted_master(n, rows, {})
+        weights, objective = solve_restricted_master(n, rows, Master())
         assert all(0.0 <= w <= 1.0 for w in weights)
         for row in rows:
             assert sum(weights[v] for v in row) >= 1.0 - 1e-7
@@ -326,23 +396,18 @@ def test_relaxation_lower_bounds_every_feasible_set():
         assert result.objective == pytest.approx(full, abs=1e-6)
 
 
-def test_relaxation_on_a_degenerate_400_vertex_master():
-    # Its masters grow to about 230 highly degenerate rows over 180 vertices;
-    # the solve must finish and agree with HiGHS on the rows it generated.
-    c = layered(10, 40, 0.3, 1)
-    result = solve_relaxation(c, 3)
-    assert result.objective == pytest.approx(
-        scipy_covering_optimum(result.rows, c.n), abs=1e-6
-    )
-
-
 @pytest.mark.parametrize(
     "shape, level",
-    [((15, 50, 0.3, 1), 3), ((10, 35, 0.35, 11), 3), ((12, 40, 0.4, 9), 4)],
-    ids=["750-vertex", "350-vertex", "480-vertex"],
+    [
+        ((15, 50, 0.3, 1), 3),
+        ((10, 35, 0.35, 11), 3),
+        ((12, 40, 0.4, 9), 4),
+        ((10, 40, 0.3, 1), 3),
+    ],
+    ids=["750-vertex", "350-vertex", "480-vertex", "400-vertex"],
 )
 def test_degenerate_relaxations_agree_with_highs(shape, level):
-    # Masters of up to about 800 highly degenerate rows, with long runs of
+    # Masters of about 200 to 800 highly degenerate rows, with long runs of
     # degenerate pivots whose right-hand sides are rounding noise around 0;
     # the solve must finish and agree with HiGHS on the rows it generated.
     c = layered(*shape)
