@@ -27,6 +27,8 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
+import numpy as np
+
 from .errors import CycleDetected, IndegreeViolation, UnknownVertex
 
 
@@ -89,23 +91,74 @@ def name_tuple(names: Iterable[str] | None, n: int) -> tuple[str, ...]:
     return named
 
 
+def edge_columns(
+    raw_edges: Sequence[Sequence[int]] | np.ndarray, n: int, width: int
+) -> tuple[np.ndarray, ...]:
+    """The columns of raw_edges, a sequence of width-tuples or an (E, width)
+    integer array, once every row is checked.
+
+    The first two columns are endpoints, which must be ids 0..n-1, and come
+    back as int64 arrays; a third column is a multiplicity, which must be
+    >= 1, and keeps Python ints beyond int64 in an object array.  The first
+    bad row raises, UnknownVertex for its first bad endpoint, else
+    ValueError.  Rows of another width, or entries that are not integers,
+    raise ValueError.
+    """
+    edges = np.asarray(raw_edges)
+    if edges.dtype.kind not in "iu":  # floats, or Python ints past int64
+        edges = np.array(raw_edges, dtype=object)
+    if edges.size == 0:
+        edges = np.zeros((0, width), dtype=np.int64)
+    if (
+        edges.ndim != 2
+        or edges.shape[1] != width
+        or edges.dtype == object and not all(isinstance(x, int) for x in edges.flat)
+    ):
+        raise ValueError(f"edges must be integer {width}-tuples")
+    if len(edges):
+        low, high = edges.min(0).tolist(), edges.max(0).tolist()
+        if min(low[:2]) < 0 or max(high[:2]) >= n or min(low[2:], default=1) < 1:
+            for row in edges.tolist():
+                for endpoint in row[:2]:
+                    if not 0 <= endpoint < n:
+                        raise UnknownVertex(endpoint)
+                if row[2:] and row[2] < 1:
+                    raise ValueError(f"edge multiplicity must be an integer >= 1, got {row[2]!r}")
+    src, dst = edges[:, 0], edges[:, 1]
+    if edges.dtype == object:  # endpoints are in range, so they fit
+        src, dst = src.astype(np.int64), dst.astype(np.int64)
+    return (src, dst, edges[:, 2]) if width == 3 else (src, dst)
+
+
 def dag_order(
-    pred_sets: Sequence[Set[int]], what: str
+    n: int, src: np.ndarray, dst: np.ndarray, what: str
 ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """Topological order plus ascending distinct preds of a graph on 0..n-1.
 
-    pred_sets[v] holds the distinct predecessors of v, all in range.  Kahn's
-    algorithm runs on successor lists built from the sorted preds, and pops
-    the smallest ready id first, so the order is deterministic.
+    src and dst are int arrays of edge endpoints, all in range; parallel
+    edges collapse.  The order is Kahn's, popping the smallest ready id
+    first, so it is deterministic.  That order is the identity exactly when
+    every edge ascends in id, so then no heap runs.
     Raises CycleDetected("<what> contains a cycle") when the graph is cyclic.
     """
-    n = len(pred_sets)
-    preds = tuple(tuple(sorted(s)) for s in pred_sets)
+    # One sort of (dst, src) keys, deduplicated, gives each vertex's
+    # distinct preds in ascending order, vertex after vertex.
+    keys = dst * n + src
+    keys.sort()
+    twins = keys[1:] == keys[:-1]
+    if twins.any():
+        keys = np.delete(keys, np.flatnonzero(twins))
+    dst, src = np.divmod(keys, max(n, 1))
+    flat = src.tolist()
+    ends = np.bincount(dst, minlength=n).cumsum().tolist()
+    preds = tuple(tuple(flat[a:b]) for a, b in zip([0, *ends], ends))
+    if (src < dst).all():
+        return tuple(range(n)), preds
+
     succs: list[list[int]] = [[] for _ in range(n)]
     for v, ps in enumerate(preds):
         for u in ps:
             succs[u].append(v)
-
     remaining = [len(ps) for ps in preds]
     ready = [v for v in range(n) if remaining[v] == 0]
     heapq.heapify(ready)
@@ -122,48 +175,47 @@ def dag_order(
     return tuple(topo), preds
 
 
+# Indegree by color, keyed by identity: Enum members hash in Python.
+_INDEGREE = {id(Color.WHITE): 0.0, id(Color.BLUE): 2.0, id(Color.RED): 2.0}
+
+
 def validate(
     colors: Sequence[Color],
-    raw_edges: Iterable[tuple[int, int, int]],
+    raw_edges: Sequence[tuple[int, int, int]] | np.ndarray,
     names: Iterable[str] | None = None,
 ) -> Circuit:
     """Check structure and build an immutable Circuit.
 
-    colors[v] is the color of vertex v, so ids are 0..len(colors)-1; raw_edges
-    yields (src, dst, multiplicity) triples, multiplicity >= 1, and parallel
-    occurrences are aggregated; names default to v0..v{n-1}.  Raises
-    ValueError for edges of another length, UnknownVertex for dangling edge
-    endpoints, IndegreeViolation when a color's indegree rule fails (White: 0,
+    colors[v] is the color of vertex v, so ids are 0..len(colors)-1;
+    raw_edges holds (src, dst, multiplicity) triples, as a sequence or an
+    (E, 3) integer array, checked by edge_columns, and parallel occurrences
+    are aggregated; names default to v0..v{n-1}.  Raises ValueError for bad
+    colors, names or triples, UnknownVertex for dangling edge endpoints,
+    IndegreeViolation when a color's indegree rule fails (White: 0,
     Blue/Red: exactly 2 counting multiplicity), and CycleDetected when the
     graph is not acyclic.  The returned topological order is recomputed, so
     edge order does not matter.
     """
     color_tuple = tuple(colors)
     n = len(color_tuple)
-    for vid, color in enumerate(color_tuple):
-        if not isinstance(color, Color):
-            raise ValueError(f"bad color for vertex {vid}: {color!r}")
-
+    expected = [_INDEGREE.get(id(color)) for color in color_tuple]
+    if None in expected:
+        vid = expected.index(None)
+        raise ValueError(f"bad color for vertex {vid}: {color_tuple[vid]!r}")
     named = name_tuple(names, n)
 
-    indeg = [0] * n
-    pred_sets: list[set[int]] = [set() for _ in range(n)]
-    for src, dst, m in raw_edges:
-        for endpoint in (src, dst):
-            if not isinstance(endpoint, int) or endpoint < 0 or endpoint >= n:
-                raise UnknownVertex(endpoint)
-        if not isinstance(m, int) or m < 1:
-            raise ValueError(f"edge multiplicity must be an integer >= 1, got {m!r}")
-        indeg[dst] += m
-        pred_sets[dst].add(src)
+    src, dst, mult = edge_columns(raw_edges, n, 3)
+    # Counts are float sums, exact while every multiplicity is 1 or 2; one
+    # of 3 or more breaks every rule however it rounds, so ints past int64
+    # are cut to 3 first.  The message recounts exactly.
+    weights = np.minimum(mult, 3).astype(np.float64) if mult.dtype == object else mult
+    indeg = np.bincount(dst, weights, n).tolist()
+    if indeg != expected:
+        v = next(v for v in range(n) if indeg[v] != expected[v])
+        actual = sum(mult[dst == v].tolist())
+        raise IndegreeViolation(v, int(expected[v]), actual, named[v])
 
-    for v in range(n):
-        expected = 0 if color_tuple[v] is Color.WHITE else 2
-        if indeg[v] != expected:
-            raise IndegreeViolation(v, expected, indeg[v], named[v])
-
-    topo, preds = dag_order(pred_sets, "circuit graph")
-
+    topo, preds = dag_order(n, src, dst, "circuit graph")
     return Circuit(color_tuple, topo, preds, named)
 
 

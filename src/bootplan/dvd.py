@@ -25,11 +25,12 @@ back to a deletion set no larger.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
-from .circuit import Circuit, Color, dag_order, name_tuple, validate
-from .errors import UnknownVertex
+import numpy as np
+
+from .circuit import Circuit, Color, dag_order, edge_columns, name_tuple, validate
 
 
 @dataclass(frozen=True)
@@ -46,20 +47,15 @@ class DvdInstance:
 
 def validate_dvd(
     n: int,
-    raw_edges: Iterable[tuple[int, int]],
+    raw_edges: Sequence[tuple[int, int]] | np.ndarray,
     names: Iterable[str] | None = None,
 ) -> DvdInstance:
-    """Simple-graph DAG over ids 0..n-1; duplicate edges collapse, and names
-    default to v0..v{n-1}."""
-    pred_sets: list[set[int]] = [set() for _ in range(n)]
-    for src, dst in raw_edges:
-        for endpoint in (src, dst):
-            if not isinstance(endpoint, int) or endpoint < 0 or endpoint >= n:
-                raise UnknownVertex(endpoint)
-        pred_sets[dst].add(src)
-
+    """Simple-graph DAG over ids 0..n-1 from (src, dst) pairs, as a sequence
+    or an (E, 2) integer array; duplicate edges collapse, and names default
+    to v0..v{n-1}."""
+    src, dst = edge_columns(raw_edges, n, 2)
     named = name_tuple(names, n)
-    _, preds = dag_order(pred_sets, "deletion instance")  # raises on a cycle
+    _, preds = dag_order(n, src, dst, "deletion instance")  # raises on a cycle
     return DvdInstance(preds=preds, names=named)
 
 

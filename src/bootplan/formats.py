@@ -15,14 +15,23 @@ raises ValueError for names that would not read back (empty, holding
 whitespace or '#', or repeated), so the reader need not guard against its
 own output.  DVD files are only read.
 
-Both graph readers read in the same two passes, so no edge line is kept:
-_nodes reads node lines, skips edge lines (an edge may name a later node)
-and rejects unknown directives; _edges checks each edge line and streams it
-into validate or validate_dvd.  So node-line and directive errors come
-first; the circuit reader adds only one check, a node line's color.
+Both graph readers read in the same two regex passes over the text, so no
+line is split into tokens and no edge line is kept: _node_pass reads node
+lines into the name-to-id map, skips edge lines (an edge may name a later
+node) and rejects unknown directives; _edge_pass streams each edge line's
+ids and multiplicity into three int lists, which validate or validate_dvd
+then checks as arrays.  So node-line and directive errors come first; the
+circuit reader adds only one check, a node line's color.  A line that fails
+a pattern is reported from its own match, its line number counted from the
+match offset only then.  Mark files are scanned for tokens the same way.
 """
 
 from __future__ import annotations
+
+import re
+from typing import NamedTuple
+
+import numpy as np
 
 from .circuit import Circuit, Color, validate
 from .dvd import DvdInstance, validate_dvd
@@ -30,66 +39,126 @@ from .errors import ParseError
 
 _COLORS = {c.value: c for c in Color}
 
+# Lines end at '\n' once '\r\n' and '\r' are rewritten to it, and the text
+# gains a leading '\n', so every line starts after one: a pattern that
+# begins with '\n' is searched for that character alone, not tried at every
+# position.  '\s' is str.isspace, so '.' and these classes run past form
+# feeds and the other separators at which str.splitlines would end a line.
+_GAP = r"[^\S\n]"  # whitespace within a line
+_TOKEN = r"([^\s#]+)"
+_END = _GAP + r"*(?:#.*)?$"  # optional comment, then the end of the line
+_ANY_EDGE = r"edge(?![^\s#])"  # a line whose first token is edge
 
-def _lines(text: str):
-    # Lines end only at \n, \r\n and \r: str.splitlines would also end them
-    # at form feeds and other separators, and so end a comment early.
+
+class _Format(NamedTuple):
+    """A graph format's usage lines and its two line patterns.
+
+    nodes matches each content line that is a node line with the token
+    count of node_usage (groups: its fields after "node"), a node line of
+    another count (no group set) or a line whose first token is neither
+    node nor edge (last group: that token).  edges matches each line whose
+    first token is edge: with 3 tokens up to edge_usage's count it sets
+    groups src, dst and an optional multiplicity, so always three groups;
+    otherwise none.
+    """
+
+    node_usage: str
+    edge_usage: str
+    nodes: re.Pattern
+    edges: re.Pattern
+
+
+def _format(node_usage: str, edge_usage: str) -> _Format:
+    fields = (_GAP + "+" + _TOKEN) * (len(node_usage.split()) - 1)
+    extra = len(edge_usage.split()) - 3
+    return _Format(
+        node_usage,
+        edge_usage,
+        re.compile(
+            rf"\n{_GAP}*(?:node(?![^\s#])(?:{fields}{_END})?|(?!{_ANY_EDGE}){_TOKEN})", re.M
+        ),
+        re.compile(
+            rf"\n{_GAP}*{_ANY_EDGE}"
+            rf"(?:{_GAP}+{_TOKEN}{_GAP}+{_TOKEN}(?:{_GAP}+{_TOKEN}){{0,{extra}}}{_END})?",
+            re.M,
+        ),
+    )
+
+
+_CIRCUIT = _format("node <name> <white|blue|red>", "edge <src> <dst> [multiplicity]")
+_DVD = _format("node <name>", "edge <src> <dst>")
+_MARK = re.compile(r"#.*|" + _TOKEN)
+
+
+def _text(text: str) -> str:
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line.split()
+    return "\n" + text
 
 
-def _nodes(text: str, ids: dict[str, int], usage: str, source: str):
-    """First pass: (lineno, tokens) per node line, once its token count is
-    checked against `usage` and its new name given the next id in `ids`.
-    Edge lines are skipped; any other directive raises."""
-    count = len(usage.split())
-    for lineno, tokens in _lines(text):
-        if tokens[0] == "node":
-            if len(tokens) != count:
-                raise ParseError(f"expected: {usage}", source, lineno)
-            if tokens[1] in ids:
-                raise ParseError(f"duplicate node name {tokens[1]!r}", source, lineno)
-            ids[tokens[1]] = len(ids)
-            yield lineno, tokens
-        elif tokens[0] != "edge":
-            raise ParseError(f"unknown directive {tokens[0]!r}", source, lineno)
+def _line(text: str, pos: int) -> int:
+    return text.count("\n", 0, pos + 1)
 
 
-def _edges(text: str, ids: dict[str, int], usage: str, source: str):
-    """Second pass: (src, dst, multiplicity) per edge line, checked against
-    the declared `ids` and against `usage`, whose token count caps the line's."""
-    most = len(usage.split())
-    for lineno, tokens in _lines(text):
-        if tokens[0] != "edge":
-            continue
-        if not 3 <= len(tokens) <= most:
-            raise ParseError(f"expected: {usage}", source, lineno)
-        for name in tokens[1:3]:
-            if name not in ids:
-                raise ParseError(f"edge references undeclared node {name!r}", source, lineno)
-        mult = 1
-        if len(tokens) == 4:
+def _node_pass(text: str, form: _Format, ids: dict[str, int], source: str):
+    """First pass: the match of each node line, once its new name has the
+    next id in `ids`.  Edge lines are skipped; any other directive raises."""
+    for m in form.nodes.finditer(text):
+        name = m[1]
+        if name is None:
+            if m.lastindex:
+                message = f"unknown directive {m[m.lastindex]!r}"
+            else:
+                message = f"expected: {form.node_usage}"
+            raise ParseError(message, source, _line(text, m.start()))
+        if name in ids:
+            raise ParseError(f"duplicate node name {name!r}", source, _line(text, m.start()))
+        ids[name] = len(ids)
+        yield m
+
+
+def _edge_pass(text: str, form: _Format, ids: dict[str, int], source: str):
+    """Second pass: the src, dst and multiplicity of every edge line, as
+    three int lists, each line checked against the declared `ids`."""
+    src: list[int] = []
+    dst: list[int] = []
+    mult: list[int] = []
+    get = ids.get
+    for m in form.edges.finditer(text):
+        s, d, k = m.groups()
+        u = get(s)
+        v = get(d)
+        if u is None or v is None:
+            if d is None:
+                message = f"expected: {form.edge_usage}"
+            else:
+                message = f"edge references undeclared node {s if u is None else d!r}"
+            raise ParseError(message, source, _line(text, m.start()))
+        src.append(u)
+        dst.append(v)
+        if k is None:
+            mult.append(1)
+        else:
             try:
-                mult = int(tokens[3])
+                count = int(k)
             except ValueError:
-                mult = 0
-            if mult < 1:
-                raise ParseError(f"bad multiplicity {tokens[3]!r}", source, lineno)
-        yield ids[tokens[1]], ids[tokens[2]], mult
+                count = 0
+            if count < 1:
+                raise ParseError(f"bad multiplicity {k!r}", source, _line(text, m.start()))
+            mult.append(count)
+    return src, dst, mult
 
 
 def parse_circuit(text: str, source: str = "<circuit>") -> Circuit:
+    text = _text(text)
     ids: dict[str, int] = {}  # in declaration order, so its keys are the names
     colors: list[Color] = []
-    for lineno, tokens in _nodes(text, ids, "node <name> <white|blue|red>", source):
-        if tokens[2] not in _COLORS:
-            raise ParseError(f"unknown color {tokens[2]!r}", source, lineno)
-        colors.append(_COLORS[tokens[2]])
-    edges = _edges(text, ids, "edge <src> <dst> [multiplicity]", source)
+    for m in _node_pass(text, _CIRCUIT, ids, source):
+        color = _COLORS.get(m[2])
+        if color is None:
+            raise ParseError(f"unknown color {m[2]!r}", source, _line(text, m.start()))
+        colors.append(color)
+    edges = np.array(_edge_pass(text, _CIRCUIT, ids, source)).T
     return validate(colors, edges, names=ids)
 
 
@@ -112,19 +181,23 @@ def format_circuit(circuit: Circuit) -> str:
 
 
 def parse_dvd(text: str, source: str = "<dvd>") -> DvdInstance:
+    text = _text(text)
     ids: dict[str, int] = {}  # in declaration order, so its keys are the names
-    for _ in _nodes(text, ids, "node <name>", source):
+    for _ in _node_pass(text, _DVD, ids, source):
         pass
-    edges = _edges(text, ids, "edge <src> <dst>", source)
-    return validate_dvd(len(ids), ((u, v) for u, v, _ in edges), names=ids)
+    src, dst, _ = _edge_pass(text, _DVD, ids, source)
+    return validate_dvd(len(ids), np.array((src, dst)).T, names=ids)
 
 
 def parse_marks(text: str, circuit: Circuit, source: str = "<marks>") -> frozenset[int]:
-    ids = {circuit.name_of(v): v for v in range(circuit.n)}
+    text = _text(text)
+    ids = dict(zip(circuit.names, range(circuit.n)))
     marks: set[int] = set()
-    for lineno, tokens in _lines(text):
-        for name in tokens:
-            if name not in ids:
-                raise ParseError(f"unknown vertex name {name!r}", source, lineno)
-            marks.add(ids[name])
+    for m in _MARK.finditer(text):
+        name = m[1]
+        if name is None:  # a comment
+            continue
+        if name not in ids:
+            raise ParseError(f"unknown vertex name {name!r}", source, _line(text, m.start()))
+        marks.add(ids[name])
     return frozenset(marks)

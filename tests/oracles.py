@@ -5,20 +5,24 @@ on purpose: these are second routes, not wrappers around package code.  The
 DAG vertex deletion half of the reduction proof (a random instance and its
 file text, the exact deletion optimum, and the map from reduced marks back to
 a deletion set) lives here too, since only tests run it, and so do the
-invariants the LP master assumes of its caller and no longer checks itself.
+invariants the LP master assumes of its caller and no longer checks itself,
+and the line-based graph reader with its per-edge checks and heap-only
+Kahn order, which the regex reader and array checks must match.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
-from collections.abc import Callable, Sequence, Set
+from collections.abc import Callable, Iterable, Sequence, Set
 from itertools import combinations
 
 import numpy as np
 
-from bootplan.circuit import Circuit, Color
+from bootplan.circuit import Circuit, Color, name_tuple
 from bootplan.dvd import DvdInstance, ReductionMap, validate_dvd
+from bootplan.errors import CycleDetected, IndegreeViolation, ParseError, UnknownVertex
 from bootplan.exact import ExactResult
 from bootplan.lp import Master
 from bootplan.paths import LevelTables
@@ -280,3 +284,191 @@ def format_dvd(instance: DvdInstance) -> str:
     out = [f"node {name}" for name in instance.names]
     out.extend(f"edge {instance.names[u]} {instance.names[v]}" for u, v in dvd_edges(instance))
     return "\n".join(out) + "\n" if out else ""
+
+
+# The line-based reader and the per-edge checks behind it, as bootplan had
+# them before its regex reader and array checks; kept as the reference the
+# differential tests compare against, so only names changed.
+
+
+def kahn_order(
+    pred_sets: Sequence[Set[int]], what: str
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """Topological order plus ascending distinct preds of a graph on 0..n-1.
+
+    pred_sets[v] holds the distinct predecessors of v, all in range.  Kahn's
+    algorithm runs on successor lists built from the sorted preds, and pops
+    the smallest ready id first, so the order is deterministic.
+    Raises CycleDetected("<what> contains a cycle") when the graph is cyclic.
+    """
+    n = len(pred_sets)
+    preds = tuple(tuple(sorted(s)) for s in pred_sets)
+    succs: list[list[int]] = [[] for _ in range(n)]
+    for v, ps in enumerate(preds):
+        for u in ps:
+            succs[u].append(v)
+
+    remaining = [len(ps) for ps in preds]
+    ready = [v for v in range(n) if remaining[v] == 0]
+    heapq.heapify(ready)
+    topo: list[int] = []
+    while ready:
+        v = heapq.heappop(ready)
+        topo.append(v)
+        for w in succs[v]:
+            remaining[w] -= 1
+            if remaining[w] == 0:
+                heapq.heappush(ready, w)
+    if len(topo) != n:
+        raise CycleDetected(f"{what} contains a cycle")
+    return tuple(topo), preds
+
+
+def validate_reference(
+    colors: Sequence[Color],
+    raw_edges: Iterable[tuple[int, int, int]],
+    names: Iterable[str] | None = None,
+) -> Circuit:
+    """Check structure and build an immutable Circuit.
+
+    colors[v] is the color of vertex v, so ids are 0..len(colors)-1; raw_edges
+    yields (src, dst, multiplicity) triples, multiplicity >= 1, and parallel
+    occurrences are aggregated; names default to v0..v{n-1}.  Raises
+    ValueError for edges of another length, UnknownVertex for dangling edge
+    endpoints, IndegreeViolation when a color's indegree rule fails (White: 0,
+    Blue/Red: exactly 2 counting multiplicity), and CycleDetected when the
+    graph is not acyclic.  The returned topological order is recomputed, so
+    edge order does not matter.
+    """
+    color_tuple = tuple(colors)
+    n = len(color_tuple)
+    for vid, color in enumerate(color_tuple):
+        if not isinstance(color, Color):
+            raise ValueError(f"bad color for vertex {vid}: {color!r}")
+
+    named = name_tuple(names, n)
+
+    indeg = [0] * n
+    pred_sets: list[set[int]] = [set() for _ in range(n)]
+    for src, dst, m in raw_edges:
+        for endpoint in (src, dst):
+            if not isinstance(endpoint, int) or endpoint < 0 or endpoint >= n:
+                raise UnknownVertex(endpoint)
+        if not isinstance(m, int) or m < 1:
+            raise ValueError(f"edge multiplicity must be an integer >= 1, got {m!r}")
+        indeg[dst] += m
+        pred_sets[dst].add(src)
+
+    for v in range(n):
+        expected = 0 if color_tuple[v] is Color.WHITE else 2
+        if indeg[v] != expected:
+            raise IndegreeViolation(v, expected, indeg[v], named[v])
+
+    topo, preds = kahn_order(pred_sets, "circuit graph")
+
+    return Circuit(color_tuple, topo, preds, named)
+
+
+def validate_dvd_reference(
+    n: int,
+    raw_edges: Iterable[tuple[int, int]],
+    names: Iterable[str] | None = None,
+) -> DvdInstance:
+    """Simple-graph DAG over ids 0..n-1; duplicate edges collapse, and names
+    default to v0..v{n-1}."""
+    pred_sets: list[set[int]] = [set() for _ in range(n)]
+    for src, dst in raw_edges:
+        for endpoint in (src, dst):
+            if not isinstance(endpoint, int) or endpoint < 0 or endpoint >= n:
+                raise UnknownVertex(endpoint)
+        pred_sets[dst].add(src)
+
+    named = name_tuple(names, n)
+    _, preds = kahn_order(pred_sets, "deletion instance")  # raises on a cycle
+    return DvdInstance(preds=preds, names=named)
+
+
+_COLORS = {c.value: c for c in Color}
+
+
+def _lines(text: str):
+    # Lines end only at \n, \r\n and \r: str.splitlines would also end them
+    # at form feeds and other separators, and so end a comment early.
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line.split()
+
+
+def _nodes(text: str, ids: dict[str, int], usage: str, source: str):
+    """First pass: (lineno, tokens) per node line, once its token count is
+    checked against `usage` and its new name given the next id in `ids`.
+    Edge lines are skipped; any other directive raises."""
+    count = len(usage.split())
+    for lineno, tokens in _lines(text):
+        if tokens[0] == "node":
+            if len(tokens) != count:
+                raise ParseError(f"expected: {usage}", source, lineno)
+            if tokens[1] in ids:
+                raise ParseError(f"duplicate node name {tokens[1]!r}", source, lineno)
+            ids[tokens[1]] = len(ids)
+            yield lineno, tokens
+        elif tokens[0] != "edge":
+            raise ParseError(f"unknown directive {tokens[0]!r}", source, lineno)
+
+
+def _edges(text: str, ids: dict[str, int], usage: str, source: str):
+    """Second pass: (src, dst, multiplicity) per edge line, checked against
+    the declared `ids` and against `usage`, whose token count caps the line's."""
+    most = len(usage.split())
+    for lineno, tokens in _lines(text):
+        if tokens[0] != "edge":
+            continue
+        if not 3 <= len(tokens) <= most:
+            raise ParseError(f"expected: {usage}", source, lineno)
+        for name in tokens[1:3]:
+            if name not in ids:
+                raise ParseError(f"edge references undeclared node {name!r}", source, lineno)
+        mult = 1
+        if len(tokens) == 4:
+            try:
+                mult = int(tokens[3])
+            except ValueError:
+                mult = 0
+            if mult < 1:
+                raise ParseError(f"bad multiplicity {tokens[3]!r}", source, lineno)
+        yield ids[tokens[1]], ids[tokens[2]], mult
+
+
+def parse_circuit_reference(text: str, source: str = "<circuit>") -> Circuit:
+    ids: dict[str, int] = {}  # in declaration order, so its keys are the names
+    colors: list[Color] = []
+    for lineno, tokens in _nodes(text, ids, "node <name> <white|blue|red>", source):
+        if tokens[2] not in _COLORS:
+            raise ParseError(f"unknown color {tokens[2]!r}", source, lineno)
+        colors.append(_COLORS[tokens[2]])
+    edges = _edges(text, ids, "edge <src> <dst> [multiplicity]", source)
+    return validate_reference(colors, edges, names=ids)
+
+
+def parse_dvd_reference(text: str, source: str = "<dvd>") -> DvdInstance:
+    ids: dict[str, int] = {}  # in declaration order, so its keys are the names
+    for _ in _nodes(text, ids, "node <name>", source):
+        pass
+    edges = _edges(text, ids, "edge <src> <dst>", source)
+    return validate_dvd_reference(len(ids), ((u, v) for u, v, _ in edges), names=ids)
+
+
+def parse_marks_reference(
+    text: str, circuit: Circuit, source: str = "<marks>"
+) -> frozenset[int]:
+    ids = {circuit.name_of(v): v for v in range(circuit.n)}
+    marks: set[int] = set()
+    for lineno, tokens in _lines(text):
+        for name in tokens:
+            if name not in ids:
+                raise ParseError(f"unknown vertex name {name!r}", source, lineno)
+            marks.add(ids[name])
+    return frozenset(marks)

@@ -4,14 +4,15 @@ from __future__ import annotations
 
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from bootplan.circuit import Color, eval_levels, is_feasible_by_levels, validate
+from bootplan.circuit import Color, dag_order, eval_levels, is_feasible_by_levels, validate
 from bootplan.dvd import validate_dvd
-from bootplan.errors import CycleDetected, IndegreeViolation, UnknownVertex
+from bootplan.errors import BootplanError, CycleDetected, IndegreeViolation, UnknownVertex
 from strategies import build, circuit_parts, circuits, marked_circuits
 
 PROPERTY = settings(max_examples=200, deadline=None)
@@ -110,6 +111,67 @@ def test_edges_are_derived_from_preds(parts, rnd):
     gates = sum(1 for color in colors if color is not Color.WHITE)
     assert c.edge_count == sum(mult.values()) == 2 * gates
     assert oracles.dvd_edges(validate_dvd(c.n, [e[:2] for e in raw])) == tuple(sorted(mult))
+
+
+def outcome(make, *args):
+    try:
+        return "ok", repr(make(*args))
+    except (BootplanError, ValueError) as error:
+        return type(error).__name__, str(error)
+
+
+# Beside valid multiplicities: non-positive ones, and ones past int64.
+MULTIPLICITIES = st.sampled_from([1, 2, 3, 0, -1, 2**63, 10**30])
+
+
+@PROPERTY
+@given(
+    circuit_parts(),
+    st.lists(st.tuples(st.integers(-1, 10), st.integers(-1, 10), MULTIPLICITIES), max_size=2),
+    st.randoms(use_true_random=False),
+)
+def test_validate_matches_the_per_edge_reference(parts, extra, rnd):
+    # A valid circuit, then maybe stray or bad edges, in a shuffled order:
+    # the same Circuit, or the same error for the same edge.
+    colors, edges = parts
+    edges = edges + extra
+    rnd.shuffle(edges)
+    assert outcome(validate, colors, edges) == outcome(oracles.validate_reference, colors, edges)
+    pairs = [e[:2] for e in edges]
+    n = len(colors)
+    assert outcome(validate_dvd, n, pairs) == outcome(oracles.validate_dvd_reference, n, pairs)
+
+
+@st.composite
+def graphs(draw):
+    """(n, edges): ids that ascend along every edge, the same DAG under
+    shuffled ids, or any edges at all, so cycles and self loops too."""
+    n = draw(st.integers(min_value=0, max_value=12))
+    ids = st.integers(min_value=0, max_value=max(n - 1, 0))
+    pairs = draw(st.lists(st.tuples(ids, ids), max_size=3 * n)) if n else []
+    kind = draw(st.sampled_from(["ascending", "shuffled", "any"]))
+    if kind == "any":
+        return n, pairs
+    pairs = [(min(u, v), max(u, v)) for u, v in pairs if u != v]
+    if kind == "shuffled":
+        relabel = draw(st.permutations(range(n)))
+        pairs = [(relabel[u], relabel[v]) for u, v in pairs]
+    return n, pairs
+
+
+@PROPERTY
+@given(graphs())
+def test_dag_order_matches_heap_kahn(graph):
+    n, pairs = graph
+    src, dst = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    pred_sets = [{u for u, w in pairs if w == v} for v in range(n)]
+    got = outcome(dag_order, n, src, dst, "graph")
+    assert got == outcome(oracles.kahn_order, pred_sets, "graph")
+    # The smallest-id-first order is the identity exactly when every edge
+    # ascends, which is when dag_order skips the heap.
+    if got[0] == "ok":
+        topo, _ = dag_order(n, src, dst, "graph")
+        assert (topo == tuple(range(n))) == all(u < v for u, v in pairs)
 
 
 def test_topo_order_recomputed_from_scrambled_input():
