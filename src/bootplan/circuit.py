@@ -99,15 +99,15 @@ def edge_columns(
 
     The first two columns are endpoints, which must be ids 0..n-1, and come
     back as int64 arrays; a third column is a multiplicity, which must be
-    >= 1, and keeps Python ints beyond int64 in an object array.  The first
-    bad row raises, UnknownVertex for its first bad endpoint, else
-    ValueError.  Rows of another width, or entries that are not integers,
-    raise ValueError.
+    >= 1, and comes back in the input's integer dtype: int64, uint64, or
+    object for Python ints beyond both.  The first bad row raises,
+    UnknownVertex for its first bad endpoint, else ValueError.  Rows of
+    another width, or entries that are not integers, raise ValueError.
     """
     edges = np.asarray(raw_edges)
     if edges.dtype.kind not in "iu":  # floats, or Python ints past int64
         edges = np.array(raw_edges, dtype=object)
-    if edges.size == 0:
+    if len(edges) == 0:
         edges = np.zeros((0, width), dtype=np.int64)
     if (
         edges.ndim != 2
@@ -124,9 +124,9 @@ def edge_columns(
                         raise UnknownVertex(endpoint)
                 if row[2:] and row[2] < 1:
                     raise ValueError(f"edge multiplicity must be an integer >= 1, got {row[2]!r}")
-    src, dst = edges[:, 0], edges[:, 1]
-    if edges.dtype == object:  # endpoints are in range, so they fit
-        src, dst = src.astype(np.int64), dst.astype(np.int64)
+    # Endpoints are in range, so they fit int64 whatever the input's dtype.
+    src = edges[:, 0].astype(np.int64, copy=False)
+    dst = edges[:, 1].astype(np.int64, copy=False)
     return (src, dst, edges[:, 2]) if width == 3 else (src, dst)
 
 
@@ -175,10 +175,6 @@ def dag_order(
     return tuple(topo), preds
 
 
-# Indegree by color, keyed by identity: Enum members hash in Python.
-_INDEGREE = {id(Color.WHITE): 0.0, id(Color.BLUE): 2.0, id(Color.RED): 2.0}
-
-
 def validate(
     colors: Sequence[Color],
     raw_edges: Sequence[tuple[int, int, int]] | np.ndarray,
@@ -198,10 +194,10 @@ def validate(
     """
     color_tuple = tuple(colors)
     n = len(color_tuple)
-    expected = [_INDEGREE.get(id(color)) for color in color_tuple]
-    if None in expected:
-        vid = expected.index(None)
+    if not set(map(type, color_tuple)) <= {Color}:
+        vid = next(v for v, color in enumerate(color_tuple) if type(color) is not Color)
         raise ValueError(f"bad color for vertex {vid}: {color_tuple[vid]!r}")
+
     named = name_tuple(names, n)
 
     src, dst, mult = edge_columns(raw_edges, n, 3)
@@ -210,6 +206,8 @@ def validate(
     # are cut to 3 first.  The message recounts exactly.
     weights = np.minimum(mult, 3).astype(np.float64) if mult.dtype == object else mult
     indeg = np.bincount(dst, weights, n).tolist()
+    white = Color.WHITE  # looked up once: Enum attribute access is slow
+    expected = [0.0 if color is white else 2.0 for color in color_tuple]
     if indeg != expected:
         v = next(v for v in range(n) if indeg[v] != expected[v])
         actual = sum(mult[dst == v].tolist())

@@ -19,11 +19,11 @@ Both graph readers read in the same two regex passes over the text, so no
 line is split into tokens and no edge line is kept: _node_pass reads node
 lines into the name-to-id map, skips edge lines (an edge may name a later
 node) and rejects unknown directives; _edge_pass streams each edge line's
-ids and multiplicity into three int lists, which validate or validate_dvd
-then checks as arrays.  So node-line and directive errors come first; the
-circuit reader adds only one check, a node line's color.  A line that fails
-a pattern is reported from its own match, its line number counted from the
-match offset only then.  Mark files are scanned for tokens the same way.
+ids and multiplicity into three int lists, returned as one array, which
+validate or validate_dvd then checks.  So node-line and directive errors
+come first; the circuit reader adds only one check, a node line's color.
+A line that fails a pattern is reported from its own match, its line
+number counted from the match offset only then.  Mark files are scanned for tokens the same way.
 """
 
 from __future__ import annotations
@@ -118,8 +118,9 @@ def _node_pass(text: str, form: _Format, ids: dict[str, int], source: str):
 
 
 def _edge_pass(text: str, form: _Format, ids: dict[str, int], source: str):
-    """Second pass: the src, dst and multiplicity of every edge line, as
-    three int lists, each line checked against the declared `ids`."""
+    """Second pass: the src, dst and multiplicity of every edge line, each
+    line checked against the declared `ids`, as the rows of an (E, 3) int
+    array."""
     src: list[int] = []
     dst: list[int] = []
     mult: list[int] = []
@@ -146,7 +147,10 @@ def _edge_pass(text: str, form: _Format, ids: dict[str, int], source: str):
             if count < 1:
                 raise ParseError(f"bad multiplicity {k!r}", source, _line(text, m.start()))
             mult.append(count)
-    return src, dst, mult
+    # Ids fit int64.  A multiplicity past it breaks the indegree rule; the
+    # array then holds Python ints, so validate reports its exact count.
+    exact = max(mult, default=1) >= 2**63
+    return np.array((src, dst, mult), dtype=object if exact else np.int64).T
 
 
 def parse_circuit(text: str, source: str = "<circuit>") -> Circuit:
@@ -158,8 +162,7 @@ def parse_circuit(text: str, source: str = "<circuit>") -> Circuit:
         if color is None:
             raise ParseError(f"unknown color {m[2]!r}", source, _line(text, m.start()))
         colors.append(color)
-    edges = np.array(_edge_pass(text, _CIRCUIT, ids, source)).T
-    return validate(colors, edges, names=ids)
+    return validate(colors, _edge_pass(text, _CIRCUIT, ids, source), names=ids)
 
 
 def format_circuit(circuit: Circuit) -> str:
@@ -185,8 +188,8 @@ def parse_dvd(text: str, source: str = "<dvd>") -> DvdInstance:
     ids: dict[str, int] = {}  # in declaration order, so its keys are the names
     for _ in _node_pass(text, _DVD, ids, source):
         pass
-    src, dst, _ = _edge_pass(text, _DVD, ids, source)
-    return validate_dvd(len(ids), np.array((src, dst)).T, names=ids)
+    edges = _edge_pass(text, _DVD, ids, source)
+    return validate_dvd(len(ids), edges[:, :2], names=ids)
 
 
 def parse_marks(text: str, circuit: Circuit, source: str = "<marks>") -> frozenset[int]:

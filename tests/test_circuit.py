@@ -80,6 +80,7 @@ def test_dangling_edge_rejected():
         ([Color.WHITE, Color.RED], [(0, 1, 2, 0)], None),  # edge of arity 4
         ([Color.WHITE, Color.RED], [(0, 1, 0)], None),  # multiplicity 0
         ([Color.WHITE, Color.RED], [(0, 1), (0, 1)], None),  # edges of arity 2
+        ([Color.WHITE, Color.RED], [()], None),  # an edge with no entries
     ],
 )
 def test_malformed_input_rejected(colors, edges, names):
@@ -108,6 +109,8 @@ def test_edges_are_derived_from_preds(parts, rnd):
         mult[src, dst] += m
     c = validate(colors, raw)
     assert c.edges == tuple(sorted((s, d, m) for (s, d), m in mult.items()))
+    for dtype in (np.int64, np.uint64):  # the same triples as an (E, 3) array
+        assert validate(colors, np.array(raw, dtype).reshape(-1, 3)) == c
     gates = sum(1 for color in colors if color is not Color.WHITE)
     assert c.edge_count == sum(mult.values()) == 2 * gates
     assert oracles.dvd_edges(validate_dvd(c.n, [e[:2] for e in raw])) == tuple(sorted(mult))

@@ -160,6 +160,15 @@ def test_mark_reader_matches_the_reference():
         assert got == outcome(oracles.parse_marks_reference, text, circuit, "m.txt"), text
 
 
+@pytest.mark.parametrize("multiplicity", [2**63, 2**64 - 1, 2**64, 10**30])
+@pytest.mark.parametrize("first", ["", "edge a b\n"])
+def test_multiplicities_past_int64_are_counted_exactly(first, multiplicity):
+    text = f"node a white\nnode b red\n{first}edge a b {multiplicity}\n"
+    got = outcome(parse_circuit, text, "t")
+    assert got == outcome(oracles.parse_circuit_reference, text, "t")
+    assert got[0] == "IndegreeViolation"
+
+
 @pytest.mark.parametrize("last", ["bogus", "node v7 white", "edge v0 v1 two"])
 def test_errors_past_line_100000_without_final_newline(last):
     text = "".join(f"node v{i} white\n" for i in range(100_000)) + "# end\n" + last
