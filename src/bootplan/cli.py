@@ -116,8 +116,6 @@ def _solve_report(
     if result.lp is not None:
         pairs.append(("lp_objective", f"{result.lp.objective:.9f}"))
         pairs.append(("t_used", f"{result.rounding.t_used:.9f}"))
-        if args.seed is not None:
-            pairs.append(("seed", str(args.seed)))
         pairs.append(("lp_constraints", str(result.lp.constraints_generated)))
         pairs.append(("lp_iterations", str(result.lp.iterations)))
     if result.exact is not None:
@@ -136,7 +134,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         out = files.enter_context(_output(args.out)) if args.out else None
         trace = files.enter_context(_open_out(args.trace)) if args.trace else None
         start = time.perf_counter()
-        result = plan(circuit, args.level, args.method, seed=args.seed, trace=trace)
+        result = plan(circuit, args.level, args.method, trace=trace)
         pairs = _solve_report(args, circuit, result, time.perf_counter() - start)
         print("\n".join(f"{k}: {v}" for k, v in pairs))
         if out is not None:
@@ -203,7 +201,6 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("circuit")
     solve.add_argument("--level", type=int, required=True)
     solve.add_argument("--method", choices=METHODS, default="lp-round")
-    solve.add_argument("--seed", type=int, help="round once, at a threshold drawn with this seed")
     solve.add_argument("--out")
     solve.add_argument("--trace")
 

@@ -34,29 +34,22 @@ def plan(
     level: int,
     method: str = "lp-round",
     *,
-    seed: int | None = None,
     trace: TextIO | None = None,
 ) -> Plan:
     """Mark set for `circuit` at noise budget `level` by one of METHODS.
 
-    seed=None rounds by the derandomized scan; an int rounds once, at a
-    uniform threshold drawn with that seed.  trace receives the relaxation's
-    per-round lines.  Raises ValueError for a bad level, an unknown method
-    and a seed with a method that does not round, all before solving.
+    lp-round rounds by the derandomized threshold scan.  trace receives the
+    relaxation's per-round lines.  Raises ValueError for a bad level and an
+    unknown method, both before solving.
     """
     require_level(level)
-    if seed is not None and method != "lp-round":
-        raise ValueError(f"a seed selects randomized rounding; method {method!r} does not round")
     relaxation = outcome = optimum = None
     if method == "lp-round":
         # No interesting path exists for a budget at or above the unmarked
         # circuit's highest level, so any such budget solves like that level.
         budget = max(1, min(level, max(eval_levels(circuit, frozenset()), default=0)))
         relaxation = lp.solve_relaxation(circuit, budget, trace=trace)
-        if seed is None:
-            outcome = rounding.derandomized_round(circuit, budget, relaxation.tables)
-        else:
-            outcome = rounding.randomized_round(circuit, budget, relaxation.tables, seed)
+        outcome = rounding.derandomized_round(circuit, budget, relaxation.tables)
         marks = outcome.marks
     elif method == "exact":
         optimum = exact.exact_bootstrap(circuit, level)

@@ -10,19 +10,16 @@ reach at least 1 at the final, so the intervals of the non-final Reds cover
 so the expected number of marks under uniform t is at most L * sum(x), which
 is what makes the derandomized minimum an L-approximation.
 
-Both roundings run one loop over a list of thresholds: it re-checks each
-distinct mark set with the exact integer level recursion and returns the
-feasible one of minimum cardinality, earliest threshold on ties.
-randomized_round passes one seeded uniform draw.  derandomized_round passes
-every breakpoint and gap midpoint: the marking function of t can only change
-where some interval starts or ends, and breakpoints collects those endpoints
-(clamped to [0,1], deduplicated, 0 and 1 appended).
+derandomized_round scans every breakpoint and gap midpoint, so it is never
+worse than any single uniform draw: the marking function of t can only
+change where some interval starts or ends, and breakpoints collects those
+endpoints (clamped to [0,1], deduplicated, 0 and 1 appended).  Each distinct
+mark set is re-checked with the exact integer level recursion, and the
+feasible one of minimum cardinality wins, earliest threshold on ties.
 """
 
 from __future__ import annotations
 
-import random
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,18 +38,14 @@ class RoundingOutcome:
     cardinality: int
 
 
-def _require_matching_budget(tables: LevelTables, level: int) -> None:
-    if level != tables.budget:
-        raise ValueError("tables were computed for a different budget")
-
-
 def breakpoints(tables: LevelTables, level: int) -> list[float]:
     """Sorted distinct interval endpoints in [0,1], with 0 and 1 appended.
 
     At most 2*n*L distinct finite endpoints exist, so the list never exceeds
     2*n*L + 2 entries.
     """
-    _require_matching_budget(tables, level)
+    if level != tables.budget:
+        raise ValueError("tables were computed for a different budget")
     lo, hi = tables.intervals
     vals = np.concatenate([lo.ravel(), hi.ravel()])
     vals = vals[np.isfinite(vals)]
@@ -61,15 +54,18 @@ def breakpoints(tables: LevelTables, level: int) -> list[float]:
     return [float(v) for v in vals]
 
 
-def _round(
-    circuit: Circuit, level: int, tables: LevelTables, thresholds: Sequence[float]
-) -> RoundingOutcome:
-    """Feasible mark set of least cardinality among the thresholds' marks.
+def derandomized_round(circuit: Circuit, level: int, tables: LevelTables) -> RoundingOutcome:
+    """Feasible mark set of least cardinality over one threshold per
+    sub-interval of the breakpoints.
 
     A vertex is marked at t when one of its intervals (levels 1..L) contains
-    t within MEMBERSHIP_TOL.  Each distinct mark set is checked once, at the
-    first threshold giving it.
+    t within MEMBERSHIP_TOL.  The thresholds ascend and each distinct mark
+    set is checked once, at the first threshold giving it, so ties go to the
+    smallest t.
     """
+    points = breakpoints(tables, level)
+    thresholds = [t for a, b in zip(points, points[1:]) for t in (a, (a + b) / 2.0)]
+    thresholds.append(points[-1])
     if tables.circuit != circuit:
         raise ValueError("tables were computed for a different circuit")
     lo, hi = tables.intervals
@@ -90,22 +86,3 @@ def _round(
         if is_feasible_by_levels(circuit, marks, level):
             return RoundingOutcome(marks=marks, t_used=t, cardinality=cardinality)
     raise NoFeasibleCandidate("no rounding candidate passed the exact feasibility check")
-
-
-def derandomized_round(circuit: Circuit, level: int, tables: LevelTables) -> RoundingOutcome:
-    """Best threshold over one candidate per sub-interval of the breakpoints.
-
-    The candidates ascend, so ties go to the smallest t.
-    """
-    points = breakpoints(tables, level)
-    candidates = [t for a, b in zip(points, points[1:]) for t in (a, (a + b) / 2.0)]
-    candidates.append(points[-1])
-    return _round(circuit, level, tables, candidates)
-
-
-def randomized_round(
-    circuit: Circuit, level: int, tables: LevelTables, seed: int
-) -> RoundingOutcome:
-    """Single uniform threshold from a seeded generator, feasibility-checked."""
-    _require_matching_budget(tables, level)
-    return _round(circuit, level, tables, [random.Random(seed).random()])

@@ -102,11 +102,10 @@ LAYERED_6X8 = ["gen", "--kind", "layered", "--layers", "6", "--width", "8",
         (LAYERED_6X8, "2", ["--method", "lp-round"]),
         (LAYERED_6X8, "2", ["--method", "after-red"]),
         (LAYERED_6X8, "2", ["--method", "greedy"]),
-        (LAYERED_6X8, "2", ["--seed", "3"]),
         (["gen", "--kind", "red-chain", "--length", "7"], "3", ["--method", "exact"]),
         (["reduce-dvd", "pair.dvd"], "2", []),
     ],
-    ids=["lp-round", "after-red", "greedy", "seeded", "exact", "reduced"],
+    ids=["lp-round", "after-red", "greedy", "exact", "reduced"],
 )
 def test_report_file_marks_pass_check(tmp_path, capsys, monkeypatch, make, level, options):
     # Each command writes the next one's input: the circuit, the report, the marks.
@@ -116,8 +115,6 @@ def test_report_file_marks_pass_check(tmp_path, capsys, monkeypatch, make, level
     assert main(["solve", "in.txt", "--level", level, *options, "--out", "r.tsv"]) == 0
     report = dict(line.split("\t", 1) for line in Path("r.tsv").read_text().splitlines())
     assert report["verified_feasible"] == "yes"
-    if "--seed" in options:
-        assert report["seed"] == "3"
     Path("m.txt").write_text(report["marks"] + "\n")
     capsys.readouterr()
     assert main(["check", "in.txt", "m.txt", "--level", level]) == 0
@@ -155,18 +152,6 @@ def test_printed_report_matches_report_file(tmp_path, capsys):
         "instance", "vertices", "edges", "level",
         "method", "cardinality", "time_s", "verified_feasible",
     ]
-
-
-def test_solve_randomized_uses_the_seed(tmp_path, capsys):
-    circuit = write(tmp_path, "c.txt", CHAIN)
-    code = main(
-        ["solve", circuit, "--level", "3", "--seed", "7"]
-    )
-    assert code == 0
-    out = capsys.readouterr().out
-    expected = random.Random(7).random()
-    assert f"t_used: {expected:.9f}" in out
-    assert "seed: 7" in out
 
 
 def test_solve_trace_file(tmp_path, capsys):
@@ -226,8 +211,7 @@ def test_simplex_iteration_cap_exits_3(tmp_path, capsys, monkeypatch):
 
 
 def test_solve_reports_are_frozen(tmp_path, capsys):
-    # Every method's report, and a seeded randomized one, must stay
-    # byte-identical apart from the run time.
+    # Every method's report must stay byte-identical apart from the run time.
     inputs = {"chain.txt": generate.red_chain(7)}
     for s in range(3):
         inputs[f"layered{s}.txt"] = generate.layered(5, 3, 0.8, s)
@@ -239,7 +223,6 @@ def test_solve_reports_are_frozen(tmp_path, capsys):
         ["--method", "exact"],
         ["--method", "after-red"],
         ["--method", "greedy"],
-        ["--seed", "5"],
     ]
     digest = hashlib.sha256()
     for name, circuit in inputs.items():
@@ -251,7 +234,7 @@ def test_solve_reports_are_frozen(tmp_path, capsys):
                 digest.update(f"{code}\n".encode())
                 digest.update("".join(l for l in lines if not l.startswith("time_s:")).encode())
     assert digest.hexdigest() == (
-        "c1664b3579b38c6a09c1b9aad6810dd2aaab54503d047240c6ccc546dbb5ef3d"
+        "18b184a0f43a07c798d25252ce28e115dbb66063ec22d1af787c920231f520d7"
     )
 
 
@@ -312,22 +295,24 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert err.count("error:") == 3
 
 
-def test_out_of_range_numbers_exit_2(tmp_path, capsys):
+def test_solve_has_no_seed_option(tmp_path, capsys):
+    # The derandomized scan is the only rounding, so solve takes no seed.
     circuit = write(tmp_path, "c.txt", CHAIN)
     report = tmp_path / "r.tsv"
-    runs = [
-        (["solve", circuit, "--level", "2", "--method", "greedy", "--seed", "3",
-          "--out", str(report)], "does not round"),
-        (["gen", "--kind", "layered", "--red-fraction", "7",
-          "--out", str(tmp_path / "g.txt")], "red_fraction must be in [0, 1]"),
-    ]
-    for argv, message in runs:
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error: ") and message in captured.err
-        assert captured.out == ""
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", circuit, "--level", "2", "--seed", "3", "--out", str(report)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
     assert not report.exists()
-    assert not (tmp_path / "g.txt").exists()
+
+
+def test_out_of_range_numbers_exit_2(tmp_path, capsys):
+    out = tmp_path / "g.txt"
+    assert main(["gen", "--kind", "layered", "--red-fraction", "7", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "red_fraction must be in [0, 1]" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_red_fraction_is_checked_for_a_kind_that_ignores_it(tmp_path, capsys):

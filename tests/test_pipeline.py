@@ -13,7 +13,7 @@ from bootplan.exact import exact_bootstrap
 from bootplan.generate import layered, red_chain
 from bootplan.lp import solve_relaxation
 from bootplan.pipeline import METHODS, plan
-from bootplan.rounding import derandomized_round, randomized_round
+from bootplan.rounding import derandomized_round
 from strategies import build
 
 # The two golden circuits of test_acceptance_07 and their budgets.
@@ -59,15 +59,6 @@ def test_lp_round_rounds_the_certified_table():
     assert result.rounding == derandomized_round(circuit, level, result.lp.tables)
 
 
-def test_seeded_randomized_plan_is_repeatable():
-    circuit, level, _ = GOLDEN[1]
-    first = plan(circuit, level, seed=11)
-    second = plan(circuit, level, seed=11)
-    assert first.rounding == second.rounding
-    assert first.rounding == randomized_round(circuit, level, first.lp.tables, 11)
-    assert first.verified
-
-
 @pytest.mark.parametrize(
     "circuit", [red_chain(7), layered(6, 5, 0.5, 3), build("wwb", (0, 2, 1), (1, 2, 1))],
     ids=["red-chain", "layered", "no-red"],
@@ -77,14 +68,7 @@ def test_budgets_above_the_depth_plan_like_the_depth(circuit):
     # level, so a budget of 10**9 must solve at that level, not fill 10**9
     # rows of the length table.
     depth = max(1, max(eval_levels(circuit, frozenset())))
-    for seed in (None, 4):
-        assert plan(circuit, 10**9, seed=seed) == plan(circuit, depth, seed=seed)
-
-
-@pytest.mark.parametrize("method", ["exact", "after-red", "greedy"])
-def test_seed_without_rounding_raises(method):
-    with pytest.raises(ValueError, match="does not round"):
-        plan(red_chain(3), 1, method, seed=3)
+    assert plan(circuit, 10**9) == plan(circuit, depth)
 
 
 def test_unknown_method_raises():

@@ -5,7 +5,9 @@ parsed graph (compared by repr, so ids stay Python ints), or the error's
 type, line and message.  Texts are seeded random circuits and deletion
 instances, each read by both graph readers, with a few random mutations
 applied: to token counts, directives, names, colors, multiplicities,
-separators, comments, line ends and line order.
+separators, comments, line ends and line order.  Every listed name,
+separator, directive and multiplicity is also read once in its slot of a
+fixed small text.
 """
 
 from __future__ import annotations
@@ -27,6 +29,25 @@ INNER_SPACES = ["\t", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2028", "\u2029"
 MULTIPLICITIES = ["+1", "01", "1_0", "٣", "0", "-1", "two", "2", "3", "-0", "1.0", "0x1"]
 MULTIPLICITIES += ["99999999999999999999", "1" * 5000]  # past int64; past int()'s digit limit
 DIRECTIVES = ["edge#x", "nodeX", "vertex", "EDGE", "node#", "edges", "#node", "edge\x0c"]
+
+# A small valid circuit and deletion instance with one slot per list above
+# (a deletion edge has no multiplicity); the defaults fill every slot validly.
+SLOT_DEFAULTS = {"name": "b", "directive": "edge", "space": " ", "multiplicity": "2"}
+SLOTTED_TEXTS = [
+    (parse_circuit, oracles.parse_circuit_reference,
+     "node a white\nnode {name} red\n{directive} a{space}{name} {multiplicity}\n"),
+    (parse_dvd, oracles.parse_dvd_reference, "node a\nnode {name}\n{directive} a{space}{name}\n"),
+]
+SLOTTED = [
+    pytest.param(slot, value, id=f"{slot}-{i}")
+    for slot, values in (
+        ("name", ODD_NAMES),
+        ("directive", DIRECTIVES),
+        ("space", INNER_SPACES),
+        ("multiplicity", MULTIPLICITIES),
+    )
+    for i, value in enumerate(values)
+]
 
 
 def outcome(parse, *args):
@@ -142,6 +163,15 @@ def test_graph_readers_match_the_reference():
         "edge references undeclared node",
         "bad multiplicity",
     }
+
+
+@pytest.mark.parametrize("slot, value", SLOTTED)
+def test_every_listed_value_reaches_the_readers(slot, value):
+    # The random corpus draws most listed values into a few texts and some
+    # into none, so each one is also put into its slot once here.
+    for parse, reference, template in SLOTTED_TEXTS:
+        text = template.format(**{**SLOT_DEFAULTS, slot: value})
+        assert outcome(parse, text, "t.txt") == outcome(reference, text, "t.txt"), text
 
 
 def test_mark_reader_matches_the_reference():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -11,8 +12,8 @@ from bootplan.circuit import Color, eval_levels, is_feasible_by_levels
 from bootplan.errors import NoFeasibleCandidate
 from bootplan.generate import layered, random_circuit, red_chain
 from bootplan.lp import solve_relaxation
-from bootplan.paths import level_lengths
-from bootplan.rounding import breakpoints, derandomized_round, randomized_round
+from bootplan.paths import LevelTables, level_lengths
+from bootplan.rounding import breakpoints, derandomized_round
 from oracles import round_at
 from strategies import build, levels_st, weighted_circuits
 
@@ -93,22 +94,18 @@ def test_derandomized_no_paths_returns_empty():
     assert outcome.cardinality == 0
 
 
-def test_randomized_round_is_seed_deterministic():
-    c = build("wrr", (0, 1, 2), (1, 2, 2))
-    tables = level_lengths(c, 1, [0.0, 1.0, 0.0])
-    first = randomized_round(c, 1, tables, seed=42)
-    second = randomized_round(c, 1, tables, seed=42)
-    assert first == second
-    assert first.marks == frozenset({1})
-    assert first.t_used == random.Random(42).random()
-
-
-def test_randomized_round_rejects_uncovered_threshold():
-    # Threshold beyond the total covered mass rounds to the empty set.
-    c, tables = chain_tables()
-    seed = next(s for s in range(1000) if random.Random(s).random() > 0.9)
+def test_no_feasible_candidate_raises():
+    # A hand-built table for a red chain at L = 1 in which only the White
+    # source's entries are finite: every threshold marks the source or
+    # nothing, and neither set keeps the chain within budget.
+    c = red_chain(3)
+    inf = math.inf
+    white_only = [0.0, inf, inf, inf]
+    tables = LevelTables(c, 1, [0.5, 0.0, 0.0, 0.0], [[inf] * 4, white_only, white_only])
+    masks = {round_at(tables, 1, t) for t in breakpoints(tables, 1)}
+    assert masks == {frozenset({0}), frozenset()}
     with pytest.raises(NoFeasibleCandidate):
-        randomized_round(c, 3, tables, seed=seed)
+        derandomized_round(c, 1, tables)
 
 
 def test_budget_mismatch_rejected():
@@ -117,8 +114,6 @@ def test_budget_mismatch_rejected():
         breakpoints(tables, 2)
     with pytest.raises(ValueError):
         derandomized_round(c, 2, tables)
-    with pytest.raises(ValueError):
-        randomized_round(c, 2, tables, seed=0)
 
 
 def test_circuit_mismatch_rejected():
@@ -128,8 +123,6 @@ def test_circuit_mismatch_rejected():
     other = layered(2, 4, 1.0, 2)
     with pytest.raises(ValueError, match="different circuit"):
         derandomized_round(other, 3, tables)
-    with pytest.raises(ValueError, match="different circuit"):
-        randomized_round(other, 3, tables, seed=0)
 
 
 @PROPERTY
