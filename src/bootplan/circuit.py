@@ -95,12 +95,10 @@ def edge_columns(
     raw_edges: Sequence[Sequence[int]] | np.ndarray, n: int, width: int
 ) -> tuple[np.ndarray, ...]:
     """The columns of raw_edges, a sequence of width-tuples or an (E, width)
-    integer array, once every row is checked.
+    integer array, as int64 arrays once every row is checked.
 
-    The first two columns are endpoints, which must be ids 0..n-1, and come
-    back as int64 arrays; a third column is a multiplicity, which must be
-    >= 1, and comes back in the input's integer dtype: int64, uint64, or
-    object for Python ints beyond both.  The first bad row raises,
+    The first two columns are endpoints, which must be ids 0..n-1; a third
+    is a multiplicity, which must be 1 or 2.  The first bad row raises,
     UnknownVertex for its first bad endpoint, else ValueError.  Rows of
     another width, or entries that are not integers, raise ValueError.
     """
@@ -117,17 +115,15 @@ def edge_columns(
         raise ValueError(f"edges must be integer {width}-tuples")
     if len(edges):
         low, high = edges.min(0).tolist(), edges.max(0).tolist()
-        if min(low[:2]) < 0 or max(high[:2]) >= n or min(low[2:], default=1) < 1:
+        if min(low[:2]) < 0 or max(high[:2]) >= n or not {*low[2:], *high[2:]} <= {1, 2}:
             for row in edges.tolist():
                 for endpoint in row[:2]:
                     if not 0 <= endpoint < n:
                         raise UnknownVertex(endpoint)
-                if row[2:] and row[2] < 1:
-                    raise ValueError(f"edge multiplicity must be an integer >= 1, got {row[2]!r}")
-    # Endpoints are in range, so they fit int64 whatever the input's dtype.
-    src = edges[:, 0].astype(np.int64, copy=False)
-    dst = edges[:, 1].astype(np.int64, copy=False)
-    return (src, dst, edges[:, 2]) if width == 3 else (src, dst)
+                if row[2:] and row[2] not in (1, 2):
+                    raise ValueError(f"edge multiplicity must be 1 or 2, got {row[2]!r}")
+    # Every entry is now an id or 1 or 2, so it fits int64 whatever the dtype.
+    return tuple(edges.astype(np.int64, copy=False).T)
 
 
 def dag_order(
@@ -201,24 +197,20 @@ def validate(
     named = name_tuple(names, n)
 
     src, dst, mult = edge_columns(raw_edges, n, 3)
-    # Counts are float sums, exact while every multiplicity is 1 or 2; one
-    # of 3 or more breaks every rule however it rounds, so ints past int64
-    # are cut to 3 first.  The message recounts exactly.
-    weights = np.minimum(mult, 3).astype(np.float64) if mult.dtype == object else mult
-    indeg = np.bincount(dst, weights, n).tolist()
+    indeg = np.bincount(dst, mult, n).tolist()  # float sums of 1s and 2s, so exact
     white = Color.WHITE  # looked up once: Enum attribute access is slow
     expected = [0.0 if color is white else 2.0 for color in color_tuple]
     if indeg != expected:
         v = next(v for v in range(n) if indeg[v] != expected[v])
-        actual = sum(mult[dst == v].tolist())
-        raise IndegreeViolation(v, int(expected[v]), actual, named[v])
+        raise IndegreeViolation(v, int(expected[v]), int(indeg[v]), named[v])
 
     topo, preds = dag_order(n, src, dst, "circuit graph")
     return Circuit(color_tuple, topo, preds, named)
 
 
 def _check_marks(circuit: Circuit, marks: Set[int]) -> frozenset[int]:
-    s = frozenset(marks)
+    """The marks as ids, numpy integers among them stored as Python ints."""
+    s = frozenset(int(v) if isinstance(v, np.integer) else v for v in marks)
     n = circuit.n
     for v in s:
         if not isinstance(v, int) or v < 0 or v >= n:

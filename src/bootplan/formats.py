@@ -3,6 +3,7 @@
 Circuit files:
     node <name> <white|blue|red>
     edge <src> <dst> [multiplicity]
+where the multiplicity is 1 (the default) or 2, since a gate has indegree 2.
 DVD files use the same layout without colors or multiplicities:
     node <name>
     edge <src> <dst>
@@ -38,6 +39,8 @@ from .dvd import DvdInstance, validate_dvd
 from .errors import ParseError
 
 _COLORS = {c.value: c for c in Color}
+# An edge line's multiplicity token (None when it has none) to its count.
+_MULTIPLICITIES = {None: 1, "1": 1, "2": 2}
 
 # Lines end at '\n' once '\r\n' and '\r' are rewritten to it, and the text
 # gains a leading '\n', so every line starts after one: a pattern that
@@ -125,6 +128,7 @@ def _edge_pass(text: str, form: _Format, ids: dict[str, int], source: str):
     dst: list[int] = []
     mult: list[int] = []
     get = ids.get
+    multiplicity = _MULTIPLICITIES.get
     for m in form.edges.finditer(text):
         s, d, k = m.groups()
         u = get(s)
@@ -135,22 +139,13 @@ def _edge_pass(text: str, form: _Format, ids: dict[str, int], source: str):
             else:
                 message = f"edge references undeclared node {s if u is None else d!r}"
             raise ParseError(message, source, _line(text, m.start()))
+        count = multiplicity(k)
+        if count is None:
+            raise ParseError(f"bad multiplicity {k!r}", source, _line(text, m.start()))
         src.append(u)
         dst.append(v)
-        if k is None:
-            mult.append(1)
-        else:
-            try:
-                count = int(k)
-            except ValueError:
-                count = 0
-            if count < 1:
-                raise ParseError(f"bad multiplicity {k!r}", source, _line(text, m.start()))
-            mult.append(count)
-    # Ids fit int64.  A multiplicity past it breaks the indegree rule; the
-    # array then holds Python ints, so validate reports its exact count.
-    exact = max(mult, default=1) >= 2**63
-    return np.array((src, dst, mult), dtype=object if exact else np.int64).T
+        mult.append(count)
+    return np.array((src, dst, mult), dtype=np.int64).T
 
 
 def parse_circuit(text: str, source: str = "<circuit>") -> Circuit:

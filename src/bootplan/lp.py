@@ -69,11 +69,14 @@ BLAND_AFTER = 50  # consecutive degenerate pivots before Bland's rule prices
 class LpResult:
     weights: list[float]
     objective: float
-    constraints_generated: int
     iterations: int
     rows: tuple[frozenset[int], ...]
     # The length table at `weights`, whose clean final row certifies them.
     tables: LevelTables = field(repr=False, compare=False)
+
+    @property
+    def constraints_generated(self) -> int:
+        return len(self.rows)
 
 
 class Master:
@@ -279,7 +282,6 @@ def solve_relaxation(
             return LpResult(
                 weights=weights,
                 objective=objective,
-                constraints_generated=len(rows),
                 iterations=iteration,
                 rows=tuple(rows),
                 tables=tables,

@@ -332,7 +332,7 @@ def validate_reference(
     """Check structure and build an immutable Circuit.
 
     colors[v] is the color of vertex v, so ids are 0..len(colors)-1; raw_edges
-    yields (src, dst, multiplicity) triples, multiplicity >= 1, and parallel
+    yields (src, dst, multiplicity) triples, multiplicity 1 or 2, and parallel
     occurrences are aggregated; names default to v0..v{n-1}.  Raises
     ValueError for edges of another length, UnknownVertex for dangling edge
     endpoints, IndegreeViolation when a color's indegree rule fails (White: 0,
@@ -354,8 +354,8 @@ def validate_reference(
         for endpoint in (src, dst):
             if not isinstance(endpoint, int) or endpoint < 0 or endpoint >= n:
                 raise UnknownVertex(endpoint)
-        if not isinstance(m, int) or m < 1:
-            raise ValueError(f"edge multiplicity must be an integer >= 1, got {m!r}")
+        if not isinstance(m, int) or m not in (1, 2):
+            raise ValueError(f"edge multiplicity must be 1 or 2, got {m!r}")
         indeg[dst] += m
         pred_sets[dst].add(src)
 
@@ -433,12 +433,9 @@ def _edges(text: str, ids: dict[str, int], usage: str, source: str):
                 raise ParseError(f"edge references undeclared node {name!r}", source, lineno)
         mult = 1
         if len(tokens) == 4:
-            try:
-                mult = int(tokens[3])
-            except ValueError:
-                mult = 0
-            if mult < 1:
+            if tokens[3] not in ("1", "2"):
                 raise ParseError(f"bad multiplicity {tokens[3]!r}", source, lineno)
+            mult = int(tokens[3])
         yield ids[tokens[1]], ids[tokens[2]], mult
 
 

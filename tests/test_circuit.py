@@ -79,6 +79,7 @@ def test_dangling_edge_rejected():
         ([Color.WHITE], [], ["a", "b"]),  # names for a vertex that is not there
         ([Color.WHITE, Color.RED], [(0, 1, 2, 0)], None),  # edge of arity 4
         ([Color.WHITE, Color.RED], [(0, 1, 0)], None),  # multiplicity 0
+        ([Color.WHITE, Color.RED], [(0, 1, 3)], None),  # multiplicity 3
         ([Color.WHITE, Color.RED], [(0, 1), (0, 1)], None),  # edges of arity 2
         ([Color.WHITE, Color.RED], [()], None),  # an edge with no entries
     ],
@@ -123,7 +124,8 @@ def outcome(make, *args):
         return type(error).__name__, str(error)
 
 
-# Beside valid multiplicities: non-positive ones, and ones past int64.
+# Beside the valid 1 and 2: too large, non-positive, and integers past int64,
+# which edge_columns reads through its object-dtype fallback.
 MULTIPLICITIES = st.sampled_from([1, 2, 3, 0, -1, 2**63, 10**30])
 
 
@@ -216,6 +218,15 @@ def test_unknown_mark_rejected():
     c = build("w")
     with pytest.raises(UnknownVertex):
         eval_levels(c, frozenset({3}))
+
+
+def test_numpy_integer_marks_are_ids():
+    c = build("wrr", (0, 1, 2), (1, 2, 2))
+    assert eval_levels(c, {np.int64(1)}) == [0, 1, 1]
+    assert is_feasible_by_levels(c, {np.uint8(1)}, 1)
+    for bad in (np.int64(3), np.int64(-1), 1.0, np.float64(1.0), "1"):
+        with pytest.raises(UnknownVertex):
+            eval_levels(c, {bad})
 
 
 def test_no_reds_means_empty_set_feasible():

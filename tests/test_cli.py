@@ -291,8 +291,11 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["solve", bad, "--level", "1"]) == 2
     circuit = write(tmp_path, "c.txt", CHAIN)
     assert main(["solve", circuit, "--level", "0"]) == 2
+    triple = write(tmp_path, "triple.txt", "node a white\nnode b red\nedge a b 3\n")
+    assert main(["solve", triple, "--level", "1"]) == 2
     err = capsys.readouterr().err
-    assert err.count("error:") == 3
+    assert err.count("error:") == 4
+    assert "triple.txt:3: bad multiplicity '3'" in err
 
 
 def test_solve_has_no_seed_option(tmp_path, capsys):

@@ -67,6 +67,16 @@ CIRCUIT_ERRORS = [
     ("node a white\nedge a\n", 2, "expected: edge <src> <dst> [multiplicity]"),
     ("node a white\nnode b red\nedge a b 0\n", 3, "bad multiplicity '0'"),
     ("node a white\nnode b red\nedge a b two\n", 3, "bad multiplicity 'two'"),
+    # Only the tokens 1 and 2: a gate has indegree 2.
+    ("node a white\nnode b red\nedge a b 3\n", 3, "bad multiplicity '3'"),
+    ("node a white\nnode b red\nedge a b +1\n", 3, "bad multiplicity '+1'"),
+    ("node a white\nnode b red\nedge a b 01\n", 3, "bad multiplicity '01'"),
+    ("node a white\nnode b red\nedge a b ٣\n", 3, "bad multiplicity '٣'"),
+    (
+        "node a white\nnode b red\nedge a b 99999999999999999999\n",
+        3,
+        "bad multiplicity '99999999999999999999'",
+    ),
     ("node a white\nedge a ghost\n", 2, "edge references undeclared node 'ghost'"),
     # Node lines and directives are read before any edge line is checked,
     # so a later bad node or directive line is the one reported.

@@ -25,9 +25,9 @@ from bootplan.generate import layered, random_circuit
 ODD_NAMES = ["node", "edge", "white", "red", "2", "+1", "٣", "x\x00y"]
 # Whitespace to str.split, but not a line end in a file.
 INNER_SPACES = ["\t", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2028", "\u2029", "\u3000"]
-# int() takes some of these; the regex reader must take exactly the same.
+# Only the tokens 1 and 2 are multiplicities; other spellings of a count are bad.
 MULTIPLICITIES = ["+1", "01", "1_0", "٣", "0", "-1", "two", "2", "3", "-0", "1.0", "0x1"]
-MULTIPLICITIES += ["99999999999999999999", "1" * 5000]  # past int64; past int()'s digit limit
+MULTIPLICITIES += ["99999999999999999999", "1" * 5000]  # digits past int64, and past int()'s limit
 DIRECTIVES = ["edge#x", "nodeX", "vertex", "EDGE", "node#", "edges", "#node", "edge\x0c"]
 
 # A small valid circuit and deletion instance with one slot per list above
@@ -188,15 +188,6 @@ def test_mark_reader_matches_the_reference():
         text = _join(lines, rng)
         got = outcome(parse_marks, text, circuit, "m.txt")
         assert got == outcome(oracles.parse_marks_reference, text, circuit, "m.txt"), text
-
-
-@pytest.mark.parametrize("multiplicity", [2**63, 2**64 - 1, 2**64, 10**30])
-@pytest.mark.parametrize("first", ["", "edge a b\n"])
-def test_multiplicities_past_int64_are_counted_exactly(first, multiplicity):
-    text = f"node a white\nnode b red\n{first}edge a b {multiplicity}\n"
-    got = outcome(parse_circuit, text, "t")
-    assert got == outcome(oracles.parse_circuit_reference, text, "t")
-    assert got[0] == "IndegreeViolation"
 
 
 @pytest.mark.parametrize("last", ["bogus", "node v7 white", "edge v0 v1 two"])
