@@ -71,6 +71,18 @@ class Circuit:
     def red_vertices(self) -> tuple[int, ...]:
         return tuple(v for v in range(self.n) if self.colors[v] is Color.RED)
 
+    @cached_property
+    def gates(self) -> tuple[tuple[int, bool, int, int], ...]:
+        """(v, v is Red, first pred, last pred) per gate v, in topo order.
+
+        Gates are the vertices with preds: two, or one behind a double edge,
+        which is then both the first and the last.
+        """
+        red = Color.RED
+        return tuple(
+            (v, self.colors[v] is red, ps[0], ps[-1]) for v in self.topo if (ps := self.preds[v])
+        )
+
     def name_of(self, v: int) -> str:
         return self.names[v]
 
@@ -105,6 +117,9 @@ def edge_columns(
     edges = np.asarray(raw_edges)
     if edges.dtype.kind not in "iu":  # floats, or Python ints past int64
         edges = np.array(raw_edges, dtype=object)
+        for at, x in np.ndenumerate(edges):  # numpy integers beside them are ints too
+            if isinstance(x, np.integer):
+                edges[at] = int(x)
     if len(edges) == 0:
         edges = np.zeros((0, width), dtype=np.int64)
     if (

@@ -89,8 +89,10 @@ class Master:
     master row; `tableau` is B^-1 [A' | I | 1] for the basic column
     `basis[i]` of each tableau row i, and `reduced` holds the reduced costs,
     minus the objective last.  `pivots` counts pivots since the tableau was
-    last built from its basis.  A new Master is the state before the first
-    round: no rows.
+    last built from its basis.  A pivot updates only the tableau rows whose
+    entry in the entering column is nonzero: any other row would subtract
+    0 times the pivot row, which leaves it as it is up to the sign of a
+    zero.  A new Master is the state before the first round: no rows.
     """
 
     def __init__(self) -> None:
@@ -190,7 +192,8 @@ class Master:
             r = int(ties[basis[ties].argmin()])  # smallest leaving index
             degenerate = degenerate + 1 if step <= PIVOT_TOL else 0
             pivot_row = tableau[r] / col[r]
-            tableau -= col[:, None] * pivot_row  # the product is built before col changes
+            touched = col.nonzero()[0]  # the rows that change (see the class)
+            tableau[touched] -= col[touched, None] * pivot_row  # col[touched] is a copy
             tableau[r] = pivot_row
             reduced -= reduced[j] * pivot_row
             basis[r] = j

@@ -10,15 +10,19 @@ Given fractional vertex weights x, the *length* of a path is the sum of
 x over its non-final vertices.  lengths[i][v] is the least length of a path
 that starts Red, ends at v, and visits exactly i Red vertices (counting Red
 endpoints); +inf when no such path exists.  Each level is filled in one
-sweep over the topological order: a Red entry is 0 at level 1 and otherwise
-extends a level-(i-1) entry across one edge, a Blue entry extends a level-i
-entry of a predecessor, and White entries stay +inf.  Blue predecessors come
-earlier in the order, so chained Blue values are final before use.
+sweep over the gates (Circuit.gates) in topological order: a Red entry is 0
+at level 1 and otherwise extends a level-(i-1) entry across one edge, a Blue
+entry extends a level-i entry of a predecessor, and White entries stay +inf.
+Blue predecessors come earlier in the order, so chained Blue values are
+final before use.  Every gate has two preds (one, for a double edge), so
+each entry is the lesser of two sums lengths[i'][u] + x[u], the first pred's
+on a tie; the sweep makes each such sum once, when it fills lengths[i'][u],
+and keeps it in a `plus` list per level.
 
 The table keeps only the minima.  Backtracking steps from an entry to the
 lowest-id predecessor u whose lengths[i'][u] + x[u] equals it (i' = i - 1
-when leaving a Red vertex): the sweep's own expression, so exact float
-equality finds the predecessor its strict < kept.
+when leaving a Red vertex): the expression the sweep stored in `plus`, so
+exact float equality finds the predecessor its strict < kept.
 """
 
 from __future__ import annotations
@@ -54,40 +58,39 @@ class LevelTables:
 
 
 def level_lengths(circuit: Circuit, level: int, weights: Sequence[float]) -> LevelTables:
-    """Fill the length table for levels 1..level+1 under the given weights."""
+    """Fill the length table for levels 1..level+1 under the given weights,
+    which must be finite."""
     require_level(level)
     n = circuit.n
     if len(weights) != n:
         raise ValueError("weights must assign a value to every vertex")
     x = [float(w) for w in weights]
-    colors = circuit.colors
-    preds = circuit.preds
-    topo = circuit.topo
+    if not all(map(math.isfinite, x)):
+        raise ValueError("weights must be finite")
+    gates = circuit.gates
     inf = math.inf
 
     lengths = [[inf] * n for _ in range(level + 2)]
-
+    # plus[u] is lengths[i][u] + x[u] for the level being filled, below[u]
+    # the same sum one level down, which Red entries extend.
+    plus = [inf] * n
     for i in range(1, level + 2):
         row = lengths[i]
-        prev = lengths[i - 1]
-        for v in topo:
-            color = colors[v]
-            if color is Color.WHITE:
-                continue
-            if color is Color.RED:
+        below, plus = plus, [inf] * n
+        for v, red, a, b in gates:
+            if red:
                 if i == 1:
                     row[v] = 0.0
+                    plus[v] = 0.0 + x[v]  # the sum itself: 0.0 + -0.0 is 0.0
                     continue
-                src = prev
+                src = below
             else:
-                src = row
-            # An explicit loop: min() over a generator is about twice as slow.
-            best = inf
-            for u in preds[v]:
-                cand = src[u] + x[u]
-                if cand < best:
-                    best = cand
+                src = plus
+            best = src[a]
+            if src[b] < best:  # strict, so the first pred wins a tie
+                best = src[b]
             row[v] = best
+            plus[v] = best + x[v]
 
     return LevelTables(circuit, level, x, lengths)
 

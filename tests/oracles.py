@@ -6,8 +6,9 @@ DAG vertex deletion half of the reduction proof (a random instance and its
 file text, the exact deletion optimum, and the map from reduced marks back to
 a deletion set) lives here too, since only tests run it, and so do the
 invariants the LP master assumes of its caller and no longer checks itself,
-and the line-based graph reader with its per-edge checks and heap-only
-Kahn order, which the regex reader and array checks must match.
+the line-based graph reader with its per-edge checks and heap-only Kahn
+order, which the regex reader and array checks must match, and the per-pred
+level sweep, which the sweep over gate pairs must match bit for bit.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from itertools import combinations
 
 import numpy as np
 
-from bootplan.circuit import Circuit, Color, name_tuple
+from bootplan.circuit import Circuit, Color, name_tuple, require_level
 from bootplan.dvd import DvdInstance, ReductionMap, validate_dvd
 from bootplan.errors import CycleDetected, IndegreeViolation, ParseError, UnknownVertex
 from bootplan.exact import ExactResult
@@ -131,6 +132,48 @@ def blue_distances_brute(
         if length < out[u].get(v, math.inf):
             out[u][v] = length
     return out
+
+
+def level_lengths_reference(
+    circuit: Circuit, level: int, weights: Sequence[float]
+) -> LevelTables:
+    """paths.level_lengths as it was before its sweep over gate pairs: one
+    loop over each vertex's preds, a NaN weight's candidate skipped."""
+    require_level(level)
+    n = circuit.n
+    if len(weights) != n:
+        raise ValueError("weights must assign a value to every vertex")
+    x = [float(w) for w in weights]
+    colors = circuit.colors
+    preds = circuit.preds
+    topo = circuit.topo
+    inf = math.inf
+
+    lengths = [[inf] * n for _ in range(level + 2)]
+
+    for i in range(1, level + 2):
+        row = lengths[i]
+        prev = lengths[i - 1]
+        for v in topo:
+            color = colors[v]
+            if color is Color.WHITE:
+                continue
+            if color is Color.RED:
+                if i == 1:
+                    row[v] = 0.0
+                    continue
+                src = prev
+            else:
+                src = row
+            # An explicit loop: min() over a generator is about twice as slow.
+            best = inf
+            for u in preds[v]:
+                cand = src[u] + x[u]
+                if cand < best:
+                    best = cand
+            row[v] = best
+
+    return LevelTables(circuit, level, x, lengths)
 
 
 def round_at(tables: LevelTables, level: int, t: float) -> frozenset[int]:
@@ -324,6 +367,11 @@ def kahn_order(
     return tuple(topo), preds
 
 
+def _plain(x):
+    """A numpy integer as the Python int it stands for; anything else as is."""
+    return int(x) if isinstance(x, np.integer) else x
+
+
 def validate_reference(
     colors: Sequence[Color],
     raw_edges: Iterable[tuple[int, int, int]],
@@ -332,12 +380,12 @@ def validate_reference(
     """Check structure and build an immutable Circuit.
 
     colors[v] is the color of vertex v, so ids are 0..len(colors)-1; raw_edges
-    yields (src, dst, multiplicity) triples, multiplicity 1 or 2, and parallel
-    occurrences are aggregated; names default to v0..v{n-1}.  Raises
-    ValueError for edges of another length, UnknownVertex for dangling edge
-    endpoints, IndegreeViolation when a color's indegree rule fails (White: 0,
-    Blue/Red: exactly 2 counting multiplicity), and CycleDetected when the
-    graph is not acyclic.  The returned topological order is recomputed, so
+    yields (src, dst, multiplicity) triples of ints or numpy integers,
+    multiplicity 1 or 2, and parallel occurrences are aggregated; names
+    default to v0..v{n-1}.  Raises ValueError for edges of another length,
+    UnknownVertex for dangling edge endpoints, IndegreeViolation when a
+    color's indegree rule fails (White: 0, Blue/Red: exactly 2 counting
+    multiplicity), and CycleDetected when the graph is not acyclic.  The returned topological order is recomputed, so
     edge order does not matter.
     """
     color_tuple = tuple(colors)
@@ -350,7 +398,8 @@ def validate_reference(
 
     indeg = [0] * n
     pred_sets: list[set[int]] = [set() for _ in range(n)]
-    for src, dst, m in raw_edges:
+    for edge in raw_edges:
+        src, dst, m = map(_plain, edge)
         for endpoint in (src, dst):
             if not isinstance(endpoint, int) or endpoint < 0 or endpoint >= n:
                 raise UnknownVertex(endpoint)
@@ -377,7 +426,8 @@ def validate_dvd_reference(
     """Simple-graph DAG over ids 0..n-1; duplicate edges collapse, and names
     default to v0..v{n-1}."""
     pred_sets: list[set[int]] = [set() for _ in range(n)]
-    for src, dst in raw_edges:
+    for edge in raw_edges:
+        src, dst = map(_plain, edge)
         for endpoint in (src, dst):
             if not isinstance(endpoint, int) or endpoint < 0 or endpoint >= n:
                 raise UnknownVertex(endpoint)

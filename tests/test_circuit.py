@@ -136,10 +136,16 @@ MULTIPLICITIES = st.sampled_from([1, 2, 3, 0, -1, 2**63, 10**30])
     st.randoms(use_true_random=False),
 )
 def test_validate_matches_the_per_edge_reference(parts, extra, rnd):
-    # A valid circuit, then maybe stray or bad edges, in a shuffled order:
-    # the same Circuit, or the same error for the same edge.
+    # A valid circuit, then maybe stray or bad edges, some rows as numpy
+    # integers, in a shuffled order: the same Circuit, or the same error for
+    # the same edge.
     colors, edges = parts
-    edges = edges + extra
+    edges = [
+        tuple(map(rnd.choice([np.int64, np.int32]), e))
+        if rnd.random() < 0.3 and all(-(2**31) <= x < 2**31 for x in e)
+        else e
+        for e in edges + extra
+    ]
     rnd.shuffle(edges)
     assert outcome(validate, colors, edges) == outcome(oracles.validate_reference, colors, edges)
     pairs = [e[:2] for e in edges]

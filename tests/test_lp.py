@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import math
 import random
@@ -18,6 +19,7 @@ from bootplan.errors import IterationLimitExceeded, NumericalFailure
 from bootplan.generate import layered, random_circuit, red_chain
 from bootplan.lp import Master, solve_relaxation, solve_restricted_master
 from bootplan.paths import level_lengths
+from bootplan.pipeline import plan
 from strategies import build, circuits
 
 PROPERTY = settings(max_examples=100, deadline=None)
@@ -414,6 +416,26 @@ def test_degenerate_relaxations_agree_with_highs(shape, level):
     result = solve_relaxation(c, level)
     assert result.objective == pytest.approx(
         scipy_covering_optimum(result.rows, c.n), abs=1e-6
+    )
+
+
+def test_lp_dense_shaped_plans_are_frozen():
+    # The shape planbench's lp-dense workload times: 150 vertices at L = 2,
+    # masters of about a hundred rows with long degenerate stretches.  Any
+    # change to the pivots' arithmetic that reaches another optimum moves
+    # the marks, the threshold or the row set pinned here.
+    digest = hashlib.sha256()
+    for s in range(12):
+        result = plan(layered(10, 15, 0.5, s), 2)
+        digest.update(repr((
+            sorted(result.marks),
+            result.rounding.t_used.hex(),
+            f"{result.lp.objective:.9f}",
+            len(result.lp.rows),
+            result.lp.iterations,
+        )).encode())
+    assert digest.hexdigest() == (
+        "fdc80134d8d08403286e3ef0da7ae35b9fd3795867085b57b1cf2c47816a2597"
     )
 
 

@@ -8,12 +8,13 @@ import random
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from bootplan.circuit import Color
 from bootplan.generate import layered, random_circuit, series_parallel
 from bootplan.paths import backtrack_interesting_path, level_lengths
-from strategies import build, marked_circuits, weighted_circuits
+from strategies import build, circuits, levels_st, marked_circuits, weighted_circuits
 
 PROPERTY = settings(max_examples=150, deadline=None)
 
@@ -198,6 +199,56 @@ def test_table_matches_path_enumeration(case):
                     assert math.isinf(got)
                 else:
                     assert got == pytest.approx(expected, abs=1e-9)
+
+
+# Weights in [0, 1] with exact zeros of both signs and repeats, so that ties
+# between the two preds of a gate, and -0.0 sums, are common.
+tie_weights = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+
+
+@PROPERTY
+@given(circuits(max_vertices=12), levels_st, st.data())
+def test_table_matches_the_per_pred_reference_bit_for_bit(circuit, level, data):
+    weights = data.draw(st.lists(tie_weights, min_size=circuit.n, max_size=circuit.n))
+    got = level_lengths(circuit, level, weights)
+    want = oracles.level_lengths_reference(circuit, level, weights)
+    assert [[x.hex() for x in row] for row in got.lengths] == [
+        [x.hex() for x in row] for row in want.lengths
+    ]
+    assert [w.hex() for w in got.weights] == [w.hex() for w in want.weights]
+
+
+def test_negative_zero_weight_sums_stay_bit_identical():
+    # A Red whose weight is -0.0 adds 0.0 + -0.0 = 0.0 to its successors'
+    # entries; reading x[v] alone would give -0.0.
+    c = build("wrrb", (0, 1, 2), (1, 2, 2), (1, 3, 1), (2, 3, 1))
+    weights = [0.0, -0.0, -0.0, 0.0]
+    got = level_lengths(c, 2, weights).lengths
+    want = oracles.level_lengths_reference(c, 2, weights).lengths
+    assert [[x.hex() for x in row] for row in got] == [[x.hex() for x in row] for row in want]
+    assert math.copysign(1.0, got[1][3]) == 1.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_weights_raise(bad):
+    c = red_chain(3)
+    with pytest.raises(ValueError, match="weights must be finite"):
+        level_lengths(c, 2, [0.0, bad, 0.5, 0.5])
+
+
+@PROPERTY
+@given(circuits(max_vertices=12))
+def test_gates_list_each_gate_once_in_topo_order(circuit):
+    colors, preds = circuit.colors, circuit.preds
+    gates = [v for v in circuit.topo if colors[v] is not Color.WHITE]
+    assert [g[0] for g in circuit.gates] == gates
+    for v, red, first, last in circuit.gates:
+        assert red == (colors[v] is Color.RED)
+        assert (first, last) == (preds[v][0], preds[v][-1])
+        assert len(preds[v]) in (1, 2)
 
 
 # --- extraction ------------------------------------------------------------
