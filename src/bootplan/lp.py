@@ -4,12 +4,16 @@ The full LP has one constraint per interesting path (sum of x over the
 path's non-final vertices >= 1, x in [0,1], minimize sum x) and there can be
 exponentially many paths, so constraints are generated lazily: solve a
 restricted master over the rows found so far, run the level-length table as
-a separation oracle, and add one most-violated row per Red final vertex that
-still has lengths[L+1] < 1 - VIOLATION_TOL.  Termination: the master
-satisfies every added row, a violated row is never already present, and
-there are finitely many rows.  The final weights certify feasibility of the
-relaxation because the same table that would expose a violation comes back
-clean; that table is returned with them, and rounding reads it.
+a separation oracle, and separate through both preds u of every Red final
+f with lengths[L+1][f] < 1 - VIOLATION_TOL: that entry is the lesser of
+their sums lengths[L][u] + x[u], and each sum below 1 - VIOLATION_TOL gives
+a violated row, the path walked back from (u, L).  So a round adds at most
+two rows per violated final, one of them most violated, from one table.
+Termination: the master satisfies every added row, so a violated row is
+never already present and each round with a violated final adds a row;
+there are finitely many rows.  The final weights certify feasibility of
+the relaxation because the same table that would expose a violation comes
+back clean; that table is returned with them, and rounding reads it.
 
 The master is solved through its LP dual, a packing LP, by a dense primal
 simplex, and the covering weights come back as its dual prices.  The
@@ -53,7 +57,7 @@ import numpy as np
 
 from .circuit import Circuit, require_level
 from .errors import IterationLimitExceeded, NumericalFailure
-from .paths import LevelTables, backtrack_interesting_path, level_lengths
+from .paths import LevelTables, backtrack_path, level_lengths
 
 VIOLATION_TOL = 1e-7
 PIVOT_TOL = 1e-9
@@ -253,28 +257,33 @@ def solve_relaxation(
     """Row generation until no interesting-path constraint is violated.
 
     Each iteration solves the master, recomputes the length table at the new
-    weights, and adds the most-violated row for every Red final below
-    1 - VIOLATION_TOL (deduplicated); the result carries the last, clean
-    table.  `trace`, when given, receives one tab-separated line per
-    iteration: index, objective, rows added.
+    weights, and for every Red final below 1 - VIOLATION_TOL adds the row
+    through each of its preds whose sum is below it too (deduplicated; see
+    the module docstring): at most two rows per violated final.  The result
+    carries the last, clean table.  `trace`, when given, receives one
+    tab-separated line per iteration: index, objective, rows added.
     """
     require_level(level)
-    n = circuit.n
+    n, preds = circuit.n, circuit.preds
     max_iterations = max(1, ROUNDS_PER_VERTEX_LEVEL * n * level)
     rows: dict[frozenset[int], None] = {}  # insertion-ordered set
     master = Master()  # the last master, carried into the next
     for iteration in range(1, max_iterations + 1):
         weights, objective = solve_restricted_master(n, rows, master)
         tables = level_lengths(circuit, level, weights)
-        final_row = tables.lengths[level + 1]
+        final_row, below, x = tables.lengths[level + 1], tables.lengths[level], tables.weights
         violated = added = 0
         for v in circuit.red_vertices:
             if final_row[v] < 1.0 - VIOLATION_TOL:
                 violated += 1
-                row = frozenset(backtrack_interesting_path(tables, v)[:-1])
-                if row not in rows:
-                    rows[row] = None
-                    added += 1
+                # final_row[v] is the lesser of these sums, so at least one
+                # pred qualifies: the lowest-id one attaining it.
+                for u in preds[v]:
+                    if below[u] + x[u] < 1.0 - VIOLATION_TOL:
+                        row = frozenset(backtrack_path(tables, u, level))
+                        if row not in rows:
+                            rows[row] = None
+                            added += 1
         if trace is not None:
             trace.write(f"{iteration}\t{objective:.9f}\t{added}\n")
         if added == 0:

@@ -1,4 +1,4 @@
-"""The per-level length table over interesting paths, and path backtracking.
+"""The per-level length table over interesting paths, and walking back paths.
 
 An *interesting path* for budget L starts at a Red vertex, ends at a Red
 vertex, and passes through exactly L+1 Red vertices (endpoints included).
@@ -19,10 +19,14 @@ each entry is the lesser of two sums lengths[i'][u] + x[u], the first pred's
 on a tie; the sweep makes each such sum once, when it fills lengths[i'][u],
 and keeps it in a `plus` list per level.
 
-The table keeps only the minima.  Backtracking steps from an entry to the
-lowest-id predecessor u whose lengths[i'][u] + x[u] equals it (i' = i - 1
-when leaving a Red vertex): the expression the sweep stored in `plus`, so
-exact float equality finds the predecessor its strict < kept.
+The table keeps only the minima.  backtrack_path walks back from an entry
+lengths[i][v] to the lowest-id predecessor u whose lengths[i'][u] + x[u]
+equals it (i' = i - 1 when leaving a Red vertex), down to a Red vertex at
+level 1: the expression the sweep stored in `plus`, so exact float equality
+finds the predecessor its strict < kept.  From a Red final at level L+1 the
+walk is a minimum-length interesting path; from a pred u of one at level
+L, the non-final part of the least such path through u, a row of the
+covering LP (see bootplan.lp).
 """
 
 from __future__ import annotations
@@ -95,18 +99,19 @@ def level_lengths(circuit: Circuit, level: int, weights: Sequence[float]) -> Lev
     return LevelTables(circuit, level, x, lengths)
 
 
-def backtrack_interesting_path(tables: LevelTables, final: int) -> tuple[int, ...]:
-    """Reconstruct the minimum-length interesting path ending at a Red final.
+def backtrack_path(tables: LevelTables, vertex: int, level: int) -> tuple[int, ...]:
+    """Reconstruct a path of length lengths[level][vertex]: it starts Red,
+    ends at `vertex` and visits exactly `level` Red vertices.
 
-    Requires lengths[budget+1][final] to be finite.  Among predecessors that
-    attain an entry, the lowest id is taken.
+    Requires 1 <= level <= budget + 1 and a finite entry.  Among
+    predecessors that attain an entry, the lowest id is taken.
     """
     colors, preds = tables.circuit.colors, tables.circuit.preds
     lengths, x = tables.lengths, tables.weights
-    i = tables.budget + 1
-    if not math.isfinite(lengths[i][final]):
-        raise ValueError(f"no interesting path ends at vertex {final}")
-    v = final
+    i = level
+    if not (1 <= i <= tables.budget + 1 and math.isfinite(lengths[i][vertex])):
+        raise ValueError(f"no path through {level} Red vertices ends at vertex {vertex}")
+    v = vertex
     rev = [v]
     while not (i == 1 and colors[v] is Color.RED):
         target = lengths[i][v]
@@ -122,4 +127,3 @@ def backtrack_interesting_path(tables: LevelTables, final: int) -> tuple[int, ..
         rev.append(v)
     rev.reverse()
     return tuple(rev)
-

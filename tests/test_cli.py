@@ -234,8 +234,37 @@ def test_solve_reports_are_frozen(tmp_path, capsys):
                 digest.update(f"{code}\n".encode())
                 digest.update("".join(l for l in lines if not l.startswith("time_s:")).encode())
     assert digest.hexdigest() == (
-        "18b184a0f43a07c798d25252ce28e115dbb66063ec22d1af787c920231f520d7"
+        "19ff368962887a40d00fbc3c78d3f2cf26d89b1d3ec6d5099476e6c0a0e0b2c7"
     )
+
+
+def test_solve_lp_objectives_are_frozen(tmp_path, capsys):
+    # The lp_objective of every lp-round report pinned above, at levels 1-3:
+    # another row set may move the marks, never the LP value.
+    inputs = {"chain.txt": generate.red_chain(7)}
+    for s in range(3):
+        inputs[f"layered{s}.txt"] = generate.layered(5, 3, 0.8, s)
+        inputs[f"random{s}.txt"] = generate.random_circuit(
+            14, s, white_fraction=0.1, red_fraction=0.8
+        )
+    objectives = []
+    for name, circuit in inputs.items():
+        path = write(tmp_path, name, formats.format_circuit(circuit))
+        for level in ("1", "2", "3"):
+            assert main(["solve", path, "--level", level, "--method", "lp-round"]) == 0
+            out = capsys.readouterr().out
+            objectives += [
+                line.split(": ")[1] for line in out.splitlines() if line.startswith("lp_objective:")
+            ]
+    assert objectives == [
+        "6.000000000", "3.000000000", "2.000000000",  # chain
+        "6.000000000", "2.000000000", "1.000000000",  # layered0
+        "6.000000000", "3.000000000", "1.000000000",  # random0
+        "9.000000000", "3.000000000", "3.000000000",  # layered1
+        "5.000000000", "2.500000000", "1.500000000",  # random1
+        "6.000000000", "2.000000000", "1.000000000",  # layered2
+        "4.000000000", "1.000000000", "1.000000000",  # random2
+    ]
 
 
 def test_reductions_and_witnesses_are_frozen(tmp_path, capsys):

@@ -10,6 +10,7 @@ import random
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 import oracles
@@ -344,6 +345,52 @@ def test_separation_repeating_a_master_row_raises(monkeypatch):
         solve_relaxation(red_chain(4), 1)
 
 
+def test_separation_walking_back_to_a_master_row_raises(monkeypatch):
+    # A walk-back that always returns the first row it found: the second
+    # round's master covers that row, other finals of the chain are still
+    # violated, and every row separation finds for them is already present.
+    walk = lp.backtrack_path
+    found = []
+
+    def first_row_only(tables, vertex, level):
+        found.append(found[0] if found else walk(tables, vertex, level))
+        return found[-1]
+
+    monkeypatch.setattr(lp, "backtrack_path", first_row_only)
+    with pytest.raises(NumericalFailure, match="violated row already present in the master"):
+        solve_relaxation(red_chain(4), 1)
+    assert len(found) > 1
+
+
+@PROPERTY
+@given(circuits(max_vertices=9), st.sampled_from((2, 3)))
+def test_every_added_row_is_a_violated_interesting_path(circuit, level):
+    masters = []  # (weights, row count) of each master, in order
+    solve = lp.solve_restricted_master
+
+    def record(n, rows, master):
+        weights, objective = solve(n, rows, master)
+        masters.append((weights, len(rows)))
+        return weights, objective
+
+    with pytest.MonkeyPatch.context() as mp:  # the fixture would span examples
+        mp.setattr(lp, "solve_restricted_master", record)
+        result = solve_relaxation(circuit, level)
+    paths = oracles.interesting_paths_brute(circuit, level)
+    rows = {frozenset(p[:-1]) for p in paths}
+    counts = [count for _, count in masters[1:]] + [len(result.rows)]
+    for (weights, start), stop in zip(masters, counts):
+        def violated(row):
+            return sum(weights[v] for v in row) < 1.0 - lp.VIOLATION_TOL
+
+        finals = {p[-1] for p in paths if violated(p[:-1])}
+        added = result.rows[start:stop]
+        assert len(added) <= 2 * len(finals)
+        for row in added:
+            assert row in rows
+            assert violated(row)
+
+
 def test_chain_relaxation_value_one():
     c = build("wrrrr", *[(i, i + 1, 2) for i in range(4)])
     result = solve_relaxation(c, 3)
@@ -435,8 +482,21 @@ def test_lp_dense_shaped_plans_are_frozen():
             result.lp.iterations,
         )).encode())
     assert digest.hexdigest() == (
-        "fdc80134d8d08403286e3ef0da7ae35b9fd3795867085b57b1cf2c47816a2597"
+        "12e3fb1fcb9e391cbf856e2326d19ad5275901fd06a70946fb39082e005d2b34"
     )
+
+
+def test_lp_dense_shaped_objectives_are_frozen():
+    # The LP value of each instance pinned above.  Separating otherwise or
+    # pivoting otherwise may reach another optimum, never another value.
+    objectives = [
+        f"{solve_relaxation(layered(10, 15, 0.5, s), 2).objective:.9f}" for s in range(12)
+    ]
+    assert objectives == [
+        "18.000000000", "19.500000000", "23.000000000", "22.500000000",
+        "23.000000000", "25.500000000", "22.500000000", "22.500000000",
+        "24.000000000", "28.500000000", "27.000000000", "25.000000000",
+    ]
 
 
 def test_trace_lines_and_monotone_objective():

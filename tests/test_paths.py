@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import oracles
 from bootplan.circuit import Color
 from bootplan.generate import layered, random_circuit, series_parallel
-from bootplan.paths import backtrack_interesting_path, level_lengths
+from bootplan.paths import backtrack_path, level_lengths
 from strategies import build, circuits, levels_st, marked_circuits, weighted_circuits
 
 PROPERTY = settings(max_examples=150, deadline=None)
@@ -258,7 +258,7 @@ def test_backtrack_reconstructs_minimum_path():
     c = red_chain(4)
     x = [0.0, 0.3, 0.2, 0.1, 0.0]
     t = level_lengths(c, 3, x)
-    assert backtrack_interesting_path(t, 4) == (1, 2, 3, 4)
+    assert backtrack_path(t, 4, 4) == (1, 2, 3, 4)
 
 
 def test_backtrack_raises_when_no_predecessor_attains_an_entry():
@@ -266,7 +266,7 @@ def test_backtrack_raises_when_no_predecessor_attains_an_entry():
     t = level_lengths(c, 3, [0.0, 0.3, 0.2, 0.1, 0.0])
     t.lengths[4][4] = 0.25  # tamper: no predecessor sums to this
     with pytest.raises(AssertionError):
-        backtrack_interesting_path(t, 4)
+        backtrack_path(t, 4, 4)
 
 
 def test_backtracked_paths_under_ties_are_frozen():
@@ -281,7 +281,7 @@ def test_backtracked_paths_under_ties_are_frozen():
                 t = level_lengths(c, level, [round(rng.uniform(0, 0.03), 2) for _ in range(c.n)])
                 for v in c.red_vertices:
                     if math.isfinite(t.lengths[level + 1][v]):
-                        digest.update(repr(backtrack_interesting_path(t, v)).encode())
+                        digest.update(repr(backtrack_path(t, v, level + 1)).encode())
     assert digest.hexdigest() == (
         "0c7a3393a9e4434c88a56cc94c32f588cb86c918d9dc37f716f3e4b4bdc4f1f3"
     )
@@ -297,12 +297,39 @@ def test_extracted_path_length_matches_table(case):
     for v in circuit.red_vertices:
         if math.isinf(t.lengths[level + 1][v]):
             continue
-        p = backtrack_interesting_path(t, v)
+        p = backtrack_path(t, v, level + 1)
         assert p in interesting
         assert p[-1] == v
         assert sum(weights[u] for u in p[:-1]) == pytest.approx(
             t.lengths[level + 1][v], abs=1e-9
         )
+
+
+@PROPERTY
+@given(weighted_circuits(max_vertices=9), st.sampled_from((1, 2, 3)))
+def test_walk_from_a_pred_is_the_least_path_through_it(case, level):
+    # Row generation walks back from each pred u of a violated final at
+    # level L: with the final appended, an interesting path of length
+    # lengths[L][u] + x[u].
+    circuit, weights = case
+    t = level_lengths(circuit, level, weights)
+    interesting = set(oracles.interesting_paths_brute(circuit, level))
+    for v in circuit.red_vertices:
+        for u in circuit.preds[v]:
+            if math.isinf(t.lengths[level][u]):
+                continue
+            p = backtrack_path(t, u, level) + (v,)
+            assert p in interesting
+            assert sum(weights[w] for w in p[:-1]) == pytest.approx(
+                t.lengths[level][u] + weights[u], abs=1e-9
+            )
+
+
+def test_walk_outside_the_table_raises():
+    t = level_lengths(red_chain(4), 2, [0.0, 0.3, 0.2, 0.1, 0.0])
+    for vertex, level in ((4, 0), (4, 4), (0, 1)):  # no level 0 or 4; White is +inf
+        with pytest.raises(ValueError, match="no path through"):
+            backtrack_path(t, vertex, level)
 
 
 # --- short-bypass regression (distance shortcuts must not fool the table) --
@@ -333,4 +360,4 @@ def test_bypass_does_not_shortcut_interesting_path():
     # The bypass edge (u, v) carries 2 Reds only, so the constraint distance
     # is the full Blue chain, not the shortcut.
     assert t.lengths[3][v] == pytest.approx(1.0)
-    assert backtrack_interesting_path(t, v) == (1, 2, 3, 4, 5, v)
+    assert backtrack_path(t, v, 3) == (1, 2, 3, 4, 5, v)
