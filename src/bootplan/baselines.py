@@ -19,17 +19,15 @@ def greedy_topological(circuit: Circuit, level: int) -> frozenset[int]:
     reach L, so the result contains no White or Blue vertex.
     """
     require_level(level)
+    colors, preds, red = circuit.colors, circuit.preds, Color.RED
     marks: set[int] = set()
     levels = [0] * circuit.n
-    for v in circuit.topo:
-        color = circuit.colors[v]
-        if color is Color.WHITE:
-            continue
+    for v in circuit.topo:  # a White vertex has no preds, so it stays at 0
         m = 0
-        for u in circuit.preds[v]:
+        for u in preds[v]:
             if u not in marks and levels[u] > m:
                 m = levels[u]
-        levels[v] = m + 1 if color is Color.RED else m
+        levels[v] = m + 1 if colors[v] is red else m
         if levels[v] == level:
             marks.add(v)
     return frozenset(marks)

@@ -65,11 +65,12 @@ class Circuit:
     @cached_property
     def edge_count(self) -> int:
         """Number of edges counted with multiplicity: two per gate."""
-        return 2 * sum(1 for c in self.colors if c is not Color.WHITE)
+        return 2 * (self.n - self.colors.count(Color.WHITE))
 
     @cached_property
     def red_vertices(self) -> tuple[int, ...]:
-        return tuple(v for v in range(self.n) if self.colors[v] is Color.RED)
+        red = Color.RED
+        return tuple(v for v, color in enumerate(self.colors) if color is red)
 
     @cached_property
     def gates(self) -> tuple[tuple[int, bool, int, int], ...]:
@@ -240,18 +241,14 @@ def eval_levels(circuit: Circuit, marks: Set[int]) -> list[int]:
     level, so levels are antitone in the mark set.
     """
     s = _check_marks(circuit, marks)
-    colors = circuit.colors
-    preds = circuit.preds
+    colors, preds, red = circuit.colors, circuit.preds, Color.RED
     levels = [0] * circuit.n
-    for v in circuit.topo:
-        color = colors[v]
-        if color is Color.WHITE:
-            continue
+    for v in circuit.topo:  # a White vertex has no preds, so it stays at 0
         m = 0
         for u in preds[v]:
             if u not in s and levels[u] > m:
                 m = levels[u]
-        levels[v] = m + 1 if color is Color.RED else m
+        levels[v] = m + 1 if colors[v] is red else m
     return levels
 
 

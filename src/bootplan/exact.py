@@ -51,7 +51,7 @@ def disjoint_rows(circuit: Circuit, level: int) -> list[tuple[int, ...]]:
     Red) reaches a Red at level 1, and the vertices walked past form the
     next row.  The sweep resumes after that Red, the row's first vertex.
     """
-    colors, preds, topo = circuit.colors, circuit.preds, circuit.topo
+    colors, preds, topo, red = circuit.colors, circuit.preds, circuit.topo, Color.RED
     levels = [0] * circuit.n
     cut: set[int] = set()
     rows: list[tuple[int, ...]] = []
@@ -63,8 +63,7 @@ def disjoint_rows(circuit: Circuit, level: int) -> list[tuple[int, ...]]:
         for u in preds[v]:
             if levels[u] > lv and u not in cut:
                 lv = levels[u]
-        if colors[v] is Color.RED:
-            lv += 1
+        lv += colors[v] is red
         levels[v] = lv
         if lv <= level:
             continue
@@ -73,7 +72,7 @@ def disjoint_rows(circuit: Circuit, level: int) -> list[tuple[int, ...]]:
         while want:
             v = next(u for u in preds[v] if u not in cut and levels[u] == want)
             row.append(v)
-            want = levels[v] - (colors[v] is Color.RED)
+            want = levels[v] - (colors[v] is red)
         cut.update(row)
         rows.append(tuple(reversed(row)))
         i = topo.index(v) + 1
@@ -96,17 +95,13 @@ def exact_bootstrap(
     require_level(level)
     if max_subsets < 1:
         raise ValueError(f"subset cap must be >= 1, got {max_subsets}")
-    pool = [v for v in range(circuit.n) if circuit.colors[v] is not Color.WHITE]
+    pool = sorted(v for v, *_ in circuit.gates)  # the non-White vertices, by id
     n = len(pool)
     if 1 << n > max_subsets:
         raise TooLarge(f"candidate space over {n} vertices exceeds {max_subsets} subsets")
     # Vertices are rows by pool position; White predecessors read row n, all 0.
     row = {v: i for i, v in enumerate(pool)}
-    sweep = [
-        (row[v], [row.get(u, n) for u in circuit.preds[v]], circuit.colors[v] is Color.RED)
-        for v in circuit.topo
-        if v in row
-    ]
+    sweep = [(row[v], row.get(a, n), row.get(b, n), red) for v, red, a, b in circuit.gates]
     bound = len(disjoint_rows(circuit, level))
     stream = chain.from_iterable(combinations(range(n), k) for k in range(bound, n + 1))
     explored = sum(comb(n, k) for k in range(bound))
@@ -120,8 +115,8 @@ def exact_bootstrap(
         # highest level.  Levels count Reds on a path, so int64 cannot wrap.
         passed = np.zeros((n + 1, cols), np.int64)
         top = np.zeros(cols, np.int64)
-        for i, ps, red in sweep:
-            lv = np.maximum(passed[ps[0]], passed[ps[-1]])
+        for i, a, b, red in sweep:
+            lv = np.maximum(passed[a], passed[b])
             if red:
                 lv += 1
                 np.maximum(top, lv, out=top)

@@ -10,9 +10,10 @@ Given fractional vertex weights x, the *length* of a path is the sum of
 x over its non-final vertices.  lengths[i][v] is the least length of a path
 that starts Red, ends at v, and visits exactly i Red vertices (counting Red
 endpoints); +inf when no such path exists.  Each level is filled in one
-sweep over the gates (Circuit.gates) in topological order: a Red entry is 0
-at level 1 and otherwise extends a level-(i-1) entry across one edge, a Blue
-entry extends a level-i entry of a predecessor, and White entries stay +inf.
+sweep over the gates (Circuit.gates) in topological order: a Red entry
+extends a level-(i-1) entry across one edge, the sums below level 1 taken
+as zero, so it is 0 at level 1; a Blue entry extends a level-i entry of a
+predecessor, and White entries stay +inf.
 Blue predecessors come earlier in the order, so chained Blue values are
 final before use.  Every gate has two preds (one, for a double edge), so
 each entry is the lesser of two sums lengths[i'][u] + x[u], the first pred's
@@ -76,20 +77,15 @@ def level_lengths(circuit: Circuit, level: int, weights: Sequence[float]) -> Lev
 
     lengths = [[inf] * n for _ in range(level + 2)]
     # plus[u] is lengths[i][u] + x[u] for the level being filled, below[u]
-    # the same sum one level down, which Red entries extend.
-    plus = [inf] * n
+    # the same sum one level down, which Red entries extend.  Below level 1
+    # it is a zero row, so a level-1 Red entry is 0.0 and its sum 0.0 + x[v]
+    # (0.0 + -0.0 is 0.0).
+    plus = [0.0] * n
     for i in range(1, level + 2):
         row = lengths[i]
         below, plus = plus, [inf] * n
         for v, red, a, b in gates:
-            if red:
-                if i == 1:
-                    row[v] = 0.0
-                    plus[v] = 0.0 + x[v]  # the sum itself: 0.0 + -0.0 is 0.0
-                    continue
-                src = below
-            else:
-                src = plus
+            src = below if red else plus
             best = src[a]
             if src[b] < best:  # strict, so the first pred wins a tie
                 best = src[b]
@@ -106,16 +102,16 @@ def backtrack_path(tables: LevelTables, vertex: int, level: int) -> tuple[int, .
     Requires 1 <= level <= budget + 1 and a finite entry.  Among
     predecessors that attain an entry, the lowest id is taken.
     """
-    colors, preds = tables.circuit.colors, tables.circuit.preds
+    colors, preds, red = tables.circuit.colors, tables.circuit.preds, Color.RED
     lengths, x = tables.lengths, tables.weights
     i = level
     if not (1 <= i <= tables.budget + 1 and math.isfinite(lengths[i][vertex])):
         raise ValueError(f"no path through {level} Red vertices ends at vertex {vertex}")
     v = vertex
     rev = [v]
-    while not (i == 1 and colors[v] is Color.RED):
+    while not ((is_red := colors[v] is red) and i == 1):
         target = lengths[i][v]
-        if colors[v] is Color.RED:
+        if is_red:
             i -= 1
         src = lengths[i]
         for u in preds[v]:

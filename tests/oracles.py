@@ -7,8 +7,10 @@ file text, the exact deletion optimum, and the map from reduced marks back to
 a deletion set) lives here too, since only tests run it, and so do the
 invariants the LP master assumes of its caller and no longer checks itself,
 the line-based graph reader with its per-edge checks and heap-only Kahn
-order, which the regex reader and array checks must match, and the per-pred
-level sweep, which the sweep over gate pairs must match bit for bit.
+order, which the regex reader and array checks must match, the per-pred
+level sweep, which the sweep over gate pairs must match bit for bit, and the
+covering program in its compact potentials form, which needs neither
+bootplan's separation nor its evaluator.
 """
 
 from __future__ import annotations
@@ -221,6 +223,52 @@ def covering_lp_by_vertex_enumeration(
             continue
         best = min(best, float(x.sum()))
     return best
+
+
+def compact_covering(circuit: Circuit, level: int, integral: bool) -> float:
+    """The optimum of the covering program over interesting paths, from its
+    polynomial-size potentials form, solved by HiGHS with no row generation.
+
+    Variables are x_v in [0, 1] and potentials d[i][v] >= 0 for i in
+    1..level+1 over non-White v, with d[1][r] = 0 for each Red r, d[i][v] <=
+    d[i'][u] + x_u for each non-White pred u of v (i' = i - 1 for a Red v,
+    i' = i for a Blue one), and d[level+1][f] >= 1 for each Red f.  The
+    potentials bound the least path lengths from below, so the constraints
+    hold exactly when every interesting path has x-length >= 1.  With
+    integral, x is 0/1 and the value is OPT; without, it is the LP bound.
+    """
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    n, white, red = circuit.n, Color.WHITE, Color.RED
+    gates = [v for v in range(n) if circuit.colors[v] is not white]
+    pos = {v: k for k, v in enumerate(gates)}
+
+    def d(i: int, v: int) -> int:
+        return n + (i - 1) * len(gates) + pos[v]
+
+    size = n + (level + 1) * len(gates)
+    lb, ub = np.zeros(size), np.full(size, np.inf)
+    ub[:n] = 1.0
+    for r in gates:
+        if circuit.colors[r] is red:
+            ub[d(1, r)] = 0.0
+            lb[d(level + 1, r)] = 1.0
+    rows = []  # d[i][v] - d[i'][u] - x_u <= 0
+    for u, v, _ in circuit.edges:
+        if u in pos:
+            is_red = circuit.colors[v] is red
+            for i in range(2 if is_red else 1, level + 2):
+                row = np.zeros(size)
+                row[[d(i, v), d(i - 1 if is_red else i, u), u]] = 1.0, -1.0, -1.0
+                rows.append(row)
+    result = milp(
+        np.r_[np.ones(n), np.zeros(size - n)],
+        constraints=[LinearConstraint(np.array(rows), -np.inf, 0.0)] if rows else [],
+        bounds=Bounds(lb, ub),
+        integrality=np.r_[np.full(n, int(integral)), np.zeros(size - n, int)],
+    )
+    assert result.success, result.message
+    return float(result.fun)
 
 
 def assert_master_input(

@@ -17,10 +17,12 @@ import oracles
 from bootplan import lp
 from bootplan.circuit import is_feasible_by_levels
 from bootplan.errors import IterationLimitExceeded, NumericalFailure
+from bootplan.exact import exact_bootstrap
 from bootplan.generate import layered, random_circuit, red_chain
 from bootplan.lp import Master, solve_relaxation, solve_restricted_master
 from bootplan.paths import level_lengths
 from bootplan.pipeline import plan
+from bootplan.rounding import derandomized_round
 from strategies import build, circuits
 
 PROPERTY = settings(max_examples=100, deadline=None)
@@ -533,3 +535,29 @@ def test_relaxation_value_never_exceeds_feasible_cardinality(circuit):
     assert result.objective <= len(circuit.red_vertices) + 1e-7
     marks = frozenset(circuit.red_vertices)
     assert is_feasible_by_levels(circuit, marks, level)
+
+
+@pytest.mark.parametrize("seed, lp_value, opt", [(11, 25.0, 26), (12, 28.0, 29), (13, 25.5, 30)])
+def test_compact_program_certifies_the_value_and_the_chain(seed, lp_value, opt):
+    # The compact program reaches the covering LP without separation, so
+    # its relaxation checks the row-generation value at 150 vertices, where
+    # no brute force reaches, and its integral optimum places OPT in the
+    # chain LP <= OPT <= rounded <= L * LP.
+    c, level = layered(10, 15, 0.5, seed), 2
+    result = solve_relaxation(c, level)
+    relaxed = oracles.compact_covering(c, level, integral=False)
+    optimum = oracles.compact_covering(c, level, integral=True)
+    rounded = len(derandomized_round(c, level, result.tables).marks)
+    assert relaxed == pytest.approx(result.objective, abs=1e-7)
+    assert (relaxed, optimum) == pytest.approx((lp_value, opt), abs=1e-7)
+    assert result.objective - 1e-9 <= round(optimum) <= rounded <= level * result.objective + 1e-9
+
+
+def test_compact_program_optimum_is_the_exact_optimum():
+    # Few Whites, so most optima are above 0 (0 to 5 here).
+    rng = random.Random(26)
+    for _ in range(20):
+        c = random_circuit(rng.randint(10, 20), rng.randrange(2**31), white_fraction=0.15)
+        level = rng.randint(1, 2)
+        optimum = oracles.compact_covering(c, level, integral=True)
+        assert optimum == pytest.approx(exact_bootstrap(c, level).optimum, abs=1e-7)
