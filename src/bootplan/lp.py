@@ -3,17 +3,16 @@
 The full LP has one constraint per interesting path (sum of x over the
 path's non-final vertices >= 1, x in [0,1], minimize sum x) and there can be
 exponentially many paths, so constraints are generated lazily: solve a
-restricted master over the rows found so far, run the level-length table as
-a separation oracle, and separate through both preds u of every Red final
-f with lengths[L+1][f] < 1 - VIOLATION_TOL: that entry is the lesser of
-their sums lengths[L][u] + x[u], and each sum below 1 - VIOLATION_TOL gives
-a violated row, the path walked back from (u, L).  So a round adds at most
-two rows per violated final, one of them most violated, from one table.
-Termination: the master satisfies every added row, so a violated row is
-never already present and each round with a violated final adds a row;
-there are finitely many rows.  The final weights certify feasibility of
-the relaxation because the same table that would expose a violation comes
-back clean; that table is returned with them, and rounding reads it.
+restricted master over the rows found so far, and separate with the length
+table for levels 1..L: the least interesting path into a Red final has
+length min over its preds u of lengths[L][u] + x[u], and a pred whose sum
+is below 1 - VIOLATION_TOL is short and gives a violated row, walked back
+once from (u, L): at most two rows per violated final, one of them most
+violated, from one table.  Termination: the master holds its rows within
+CERT_TOL, so no short pred's row is held (one that is raises
+NumericalFailure) and each round with one adds a row, of finitely many.
+The final weights certify the relaxation: their table, returned with them
+for rounding, has no short pred.
 
 The master is solved through its LP dual, a packing LP, by a dense primal
 simplex, and the covering weights come back as its dual prices.  The
@@ -75,7 +74,7 @@ class LpResult:
     objective: float
     iterations: int
     rows: tuple[frozenset[int], ...]
-    # The length table at `weights`, whose clean final row certifies them.
+    # The length table at `weights`, with no short pred, which certifies them.
     tables: LevelTables = field(repr=False, compare=False)
 
     @property
@@ -257,40 +256,33 @@ def solve_relaxation(
     """Row generation until no interesting-path constraint is violated.
 
     Each iteration solves the master, recomputes the length table at the new
-    weights, and for every Red final below 1 - VIOLATION_TOL adds the row
-    through each of its preds whose sum is below it too (deduplicated; see
-    the module docstring): at most two rows per violated final.  The result
-    carries the last, clean table.  `trace`, when given, receives one
-    tab-separated line per iteration: index, objective, rows added.
+    weights, and adds the row walked back from each short pred of a Red
+    final (see the module docstring).  The result carries the last table,
+    which has no short pred.  `trace`, when given, receives one tab-separated
+    line per iteration: index, objective, rows added.
     """
     require_level(level)
-    n, preds = circuit.n, circuit.preds
+    n, preds, finals = circuit.n, circuit.preds, circuit.red_vertices
     max_iterations = max(1, ROUNDS_PER_VERTEX_LEVEL * n * level)
     rows: dict[frozenset[int], None] = {}  # insertion-ordered set
     master = Master()  # the last master, carried into the next
     for iteration in range(1, max_iterations + 1):
         weights, objective = solve_restricted_master(n, rows, master)
         tables = level_lengths(circuit, level, weights)
-        final_row, below, x = tables.lengths[level + 1], tables.lengths[level], tables.weights
-        violated = added = 0
-        for v in circuit.red_vertices:
-            if final_row[v] < 1.0 - VIOLATION_TOL:
-                violated += 1
-                # final_row[v] is the lesser of these sums, so at least one
-                # pred qualifies: the lowest-id one attaining it.
-                for u in preds[v]:
-                    if below[u] + x[u] < 1.0 - VIOLATION_TOL:
-                        row = frozenset(backtrack_path(tables, u, level))
-                        if row not in rows:
-                            rows[row] = None
-                            added += 1
-        if trace is not None:
-            trace.write(f"{iteration}\t{objective:.9f}\t{added}\n")
-        if added == 0:
-            if violated:
+        below, x = tables.lengths[level], tables.weights
+        short = dict.fromkeys(  # in first-seen order, the order rows are added in
+            u for v in finals for u in preds[v] if below[u] + x[u] < 1.0 - VIOLATION_TOL
+        )
+        for u in short:
+            row = frozenset(backtrack_path(tables, u, level))
+            if row in rows:
                 raise NumericalFailure(
                     "separation found a violated row already present in the master"
                 )
+            rows[row] = None
+        if trace is not None:
+            trace.write(f"{iteration}\t{objective:.9f}\t{len(short)}\n")
+        if not short:
             return LpResult(
                 weights=weights,
                 objective=objective,
@@ -298,6 +290,4 @@ def solve_relaxation(
                 rows=tuple(rows),
                 tables=tables,
             )
-    raise IterationLimitExceeded(
-        f"row generation exceeded {max_iterations} iterations"
-    )
+    raise IterationLimitExceeded(f"row generation exceeded {max_iterations} iterations")

@@ -24,10 +24,10 @@ The table keeps only the minima.  backtrack_path walks back from an entry
 lengths[i][v] to the lowest-id predecessor u whose lengths[i'][u] + x[u]
 equals it (i' = i - 1 when leaving a Red vertex), down to a Red vertex at
 level 1: the expression the sweep stored in `plus`, so exact float equality
-finds the predecessor its strict < kept.  From a Red final at level L+1 the
-walk is a minimum-length interesting path; from a pred u of one at level
-L, the non-final part of the least such path through u, a row of the
-covering LP (see bootplan.lp).
+finds the predecessor its strict < kept.  The table ends at level L, and
+from a pred u of a Red final at L the walk, the final appended, is the least
+interesting path through u, of length lengths[L][u] + x[u]: its non-final
+part is a row of the covering LP (see bootplan.lp).
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ from .circuit import Circuit, Color, require_level
 class LevelTables:
     """Per-level minimum path lengths.
 
-    lengths[i][v] for i in 1..budget+1 (index 0 unused); weights is the x
-    vector the table was computed against.
+    lengths[i][v] for i in 1..budget (index 0 unused), each row the same at
+    any budget; weights is the x vector the table was computed against.
     """
 
     circuit: Circuit
@@ -58,12 +58,12 @@ class LevelTables:
     @cached_property
     def intervals(self) -> tuple[np.ndarray, np.ndarray]:
         """Rounding intervals [lo, hi] per level 1..budget (rows) and vertex."""
-        lo = np.asarray(self.lengths[1 : self.budget + 1], dtype=float)
+        lo = np.asarray(self.lengths[1:])
         return lo, lo + np.asarray(self.weights, dtype=float)
 
 
 def level_lengths(circuit: Circuit, level: int, weights: Sequence[float]) -> LevelTables:
-    """Fill the length table for levels 1..level+1 under the given weights,
+    """Fill the length table for levels 1..level under the given weights,
     which must be finite."""
     require_level(level)
     n = circuit.n
@@ -75,13 +75,13 @@ def level_lengths(circuit: Circuit, level: int, weights: Sequence[float]) -> Lev
     gates = circuit.gates
     inf = math.inf
 
-    lengths = [[inf] * n for _ in range(level + 2)]
+    lengths = [[inf] * n for _ in range(level + 1)]
     # plus[u] is lengths[i][u] + x[u] for the level being filled, below[u]
     # the same sum one level down, which Red entries extend.  Below level 1
     # it is a zero row, so a level-1 Red entry is 0.0 and its sum 0.0 + x[v]
     # (0.0 + -0.0 is 0.0).
     plus = [0.0] * n
-    for i in range(1, level + 2):
+    for i in range(1, level + 1):
         row = lengths[i]
         below, plus = plus, [inf] * n
         for v, red, a, b in gates:
@@ -99,13 +99,13 @@ def backtrack_path(tables: LevelTables, vertex: int, level: int) -> tuple[int, .
     """Reconstruct a path of length lengths[level][vertex]: it starts Red,
     ends at `vertex` and visits exactly `level` Red vertices.
 
-    Requires 1 <= level <= budget + 1 and a finite entry.  Among
+    Requires 1 <= level <= budget and a finite entry.  Among
     predecessors that attain an entry, the lowest id is taken.
     """
     colors, preds, red = tables.circuit.colors, tables.circuit.preds, Color.RED
     lengths, x = tables.lengths, tables.weights
     i = level
-    if not (1 <= i <= tables.budget + 1 and math.isfinite(lengths[i][vertex])):
+    if not (1 <= i <= tables.budget and math.isfinite(lengths[i][vertex])):
         raise ValueError(f"no path through {level} Red vertices ends at vertex {vertex}")
     v = vertex
     rev = [v]

@@ -2,9 +2,9 @@
 
 plan() is what `bootplan solve` runs between loading and reporting.  Its
 default method is the paper's pipeline: the covering LP by row generation,
-then threshold rounding of the level table that certified it.  Each solver
-step is looked up through its module at call time, so wrappers installed on
-those modules (profilers, tracers) see every call.
+then threshold rounding of the level table that certified it.  The lp,
+rounding, exact and baselines steps are looked up through their modules at
+call time, so wrappers there (profilers, tracers) see every call to them.
 """
 
 from __future__ import annotations

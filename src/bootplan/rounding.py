@@ -63,11 +63,11 @@ def derandomized_round(circuit: Circuit, level: int, tables: LevelTables) -> Rou
     set is checked once, at the first threshold giving it, so ties go to the
     smallest t.
     """
+    if tables.circuit != circuit:
+        raise ValueError("tables were computed for a different circuit")
     points = breakpoints(tables, level)
     thresholds = [t for a, b in zip(points, points[1:]) for t in (a, (a + b) / 2.0)]
     thresholds.append(points[-1])
-    if tables.circuit != circuit:
-        raise ValueError("tables were computed for a different circuit")
     lo, hi = tables.intervals
     distinct: list[tuple[int, float, np.ndarray]] = []
     seen: set[bytes] = set()

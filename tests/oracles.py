@@ -139,8 +139,9 @@ def blue_distances_brute(
 def level_lengths_reference(
     circuit: Circuit, level: int, weights: Sequence[float]
 ) -> LevelTables:
-    """paths.level_lengths as it was before its sweep over gate pairs: one
-    loop over each vertex's preds, a NaN weight's candidate skipped."""
+    """paths.level_lengths as it was before its sweep over gate pairs, rows
+    1..level: one loop over each vertex's preds, a NaN weight's candidate
+    skipped."""
     require_level(level)
     n = circuit.n
     if len(weights) != n:
@@ -151,9 +152,9 @@ def level_lengths_reference(
     topo = circuit.topo
     inf = math.inf
 
-    lengths = [[inf] * n for _ in range(level + 2)]
+    lengths = [[inf] * n for _ in range(level + 1)]
 
-    for i in range(1, level + 2):
+    for i in range(1, level + 1):
         row = lengths[i]
         prev = lengths[i - 1]
         for v in topo:

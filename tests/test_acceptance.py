@@ -85,7 +85,7 @@ def test_acceptance_02_length_tables_match_enumeration(capsys):
         c = random_circuit(rng.randint(2, 10), rng.randrange(2**31))
         level = rng.choice((1, 2, 3))
         weights = [0.0 if c.colors[v].value == "white" else rng.random() for v in range(c.n)]
-        tables = level_lengths(c, level, weights)
+        tables = level_lengths(c, level + 1, weights)
         expected = oracles.min_lengths_brute(c, level, weights)
         for i in range(1, level + 2):
             for v in range(c.n):

@@ -364,6 +364,58 @@ def test_separation_walking_back_to_a_master_row_raises(monkeypatch):
     assert len(found) > 1
 
 
+def test_a_held_row_raises_beside_a_new_one(monkeypatch):
+    # The second round's first walk-back finds a new row and its second
+    # returns a row the master holds: the round raises, though it added a row.
+    walk, solve = lp.backtrack_path, lp.solve_restricted_master
+    masters, walks = [], []  # the rows of each master; this round's walks
+
+    def record(n, rows, master):
+        masters.append(list(rows))
+        walks.clear()
+        return solve(n, rows, master)
+
+    def held_second(tables, vertex, level):
+        walks.append(walk(tables, vertex, level))
+        if len(masters) == 2 and len(walks) == 2:
+            return tuple(sorted(masters[1][0]))
+        return walks[-1]
+
+    monkeypatch.setattr(lp, "solve_restricted_master", record)
+    monkeypatch.setattr(lp, "backtrack_path", held_second)
+    with pytest.raises(NumericalFailure, match="violated row already present in the master"):
+        solve_relaxation(layered(10, 15, 0.5, 1), 2)
+    assert len(masters) == 2 and frozenset(walks[0]) not in masters[1]
+
+
+@pytest.mark.parametrize(
+    "circuit",
+    [red_chain(6), layered(10, 15, 0.5, 1), layered(10, 15, 0.5, 2)],
+    ids=["chain", "layered-1", "layered-2"],
+)
+def test_each_walk_back_adds_a_row_and_each_master_one_table(circuit, monkeypatch):
+    # A pred that feeds several violated finals is walked back once, and a
+    # round sweeps the level table once, at its budget.
+    calls = {"walk": 0, "sweep": 0, "master": 0}
+
+    def counted(name, f):
+        def call(*args):
+            calls[name] += 1
+            return f(*args)
+
+        return call
+
+    monkeypatch.setattr(lp, "backtrack_path", counted("walk", lp.backtrack_path))
+    monkeypatch.setattr(lp, "level_lengths", counted("sweep", lp.level_lengths))
+    monkeypatch.setattr(
+        lp, "solve_restricted_master", counted("master", lp.solve_restricted_master)
+    )
+    result = solve_relaxation(circuit, 2)
+    assert calls["walk"] == len(result.rows)
+    assert calls["sweep"] == calls["master"] == result.iterations
+    assert result.tables.budget == 2 and len(result.tables.lengths) == 3
+
+
 @PROPERTY
 @given(circuits(max_vertices=9), st.sampled_from((2, 3)))
 def test_every_added_row_is_a_violated_interesting_path(circuit, level):
@@ -406,7 +458,7 @@ def test_relaxation_certificate_and_row_satisfaction():
         c = random_circuit(rng.randint(4, 12), rng.randrange(2**31))
         level = rng.choice((1, 2, 3))
         result = solve_relaxation(c, level)
-        tables = level_lengths(c, level, result.weights)
+        tables = level_lengths(c, level + 1, result.weights)
         for v in c.red_vertices:
             assert tables.lengths[level + 1][v] >= 1.0 - 1e-7
         for row in result.rows:

@@ -90,7 +90,7 @@ def test_blue_distances_absent_pair():
     # Two parallel stacks; u cannot reach the other stack's blue vertex, so
     # no path visits both Reds.
     c = build("wwrbrb", (0, 2, 2), (2, 3, 2), (1, 4, 2), (4, 5, 2))
-    t = level_lengths(c, 1, [0.0] * 6)
+    t = level_lengths(c, 2, [0.0] * 6)
     assert t.lengths[1][3] == t.lengths[1][5] == 0.0
     assert all(math.isinf(length) for length in t.lengths[2])
 
@@ -118,7 +118,7 @@ def test_blue_distances_pick_cheaper_route():
 def test_chain_table_frozen_values():
     c = red_chain(4)
     x = [0.0, 0.3, 0.2, 0.1, 0.0]
-    t = level_lengths(c, 3, x)
+    t = level_lengths(c, 4, x)
     inf = math.inf
     assert t.lengths[1] == [inf, 0.0, 0.0, 0.0, 0.0]
     assert t.lengths[2] == pytest.approx([inf, inf, 0.3, 0.2, 0.1])
@@ -137,7 +137,7 @@ def test_intervals_are_levels_one_to_budget_plus_weights():
 
 def test_table_red_base_and_white_rows():
     c = build("wrbr", (0, 1, 2), (1, 2, 2), (2, 3, 1), (1, 3, 1))
-    t = level_lengths(c, 2, [0.0, 0.25, 0.5, 0.0])
+    t = level_lengths(c, 3, [0.0, 0.25, 0.5, 0.0])
     for i in range(1, 4):
         assert t.lengths[i][0] == math.inf
     assert t.lengths[1][1] == 0.0
@@ -157,7 +157,7 @@ def test_blue_rows_compose_from_red_rows_and_delta():
         (2, 5, 1),
     )
     x = [0.0, 0.15, 0.3, 0.2, 0.05, 0.0]
-    t = level_lengths(c, 2, x)
+    t = level_lengths(c, 3, x)
     delta = oracles.blue_distances_brute(c, x)
     blues = [v for v in range(c.n) if c.colors[v] is Color.BLUE]
     for i in range(1, 4):
@@ -189,7 +189,7 @@ def test_blue_rows_compose_from_red_rows_and_delta():
 def test_table_matches_path_enumeration(case):
     circuit, weights = case
     for level in (1, 2, 3):
-        t = level_lengths(circuit, level, weights)
+        t = level_lengths(circuit, level + 1, weights)
         brute = oracles.min_lengths_brute(circuit, level, weights)
         for i in range(1, level + 2):
             for v in range(circuit.n):
@@ -257,13 +257,13 @@ def test_gates_list_each_gate_once_in_topo_order(circuit):
 def test_backtrack_reconstructs_minimum_path():
     c = red_chain(4)
     x = [0.0, 0.3, 0.2, 0.1, 0.0]
-    t = level_lengths(c, 3, x)
+    t = level_lengths(c, 4, x)
     assert backtrack_path(t, 4, 4) == (1, 2, 3, 4)
 
 
 def test_backtrack_raises_when_no_predecessor_attains_an_entry():
     c = red_chain(4)
-    t = level_lengths(c, 3, [0.0, 0.3, 0.2, 0.1, 0.0])
+    t = level_lengths(c, 4, [0.0, 0.3, 0.2, 0.1, 0.0])
     t.lengths[4][4] = 0.25  # tamper: no predecessor sums to this
     with pytest.raises(AssertionError):
         backtrack_path(t, 4, 4)
@@ -278,7 +278,7 @@ def test_backtracked_paths_under_ties_are_frozen():
     for s in range(20):
         for c in (layered(5, 6, 0.5, s), random_circuit(25, s), series_parallel(30, 0.5, s)):
             for level in (1, 2, 3):
-                t = level_lengths(c, level, [round(rng.uniform(0, 0.03), 2) for _ in range(c.n)])
+                t = level_lengths(c, level + 1, [round(rng.uniform(0, 0.03), 2) for _ in range(c.n)])
                 for v in c.red_vertices:
                     if math.isfinite(t.lengths[level + 1][v]):
                         digest.update(repr(backtrack_path(t, v, level + 1)).encode())
@@ -292,7 +292,7 @@ def test_backtracked_paths_under_ties_are_frozen():
 def test_extracted_path_length_matches_table(case):
     circuit, weights = case
     level = 2
-    t = level_lengths(circuit, level, weights)
+    t = level_lengths(circuit, level + 1, weights)
     interesting = set(oracles.interesting_paths_brute(circuit, level))
     for v in circuit.red_vertices:
         if math.isinf(t.lengths[level + 1][v]):
@@ -327,7 +327,7 @@ def test_walk_from_a_pred_is_the_least_path_through_it(case, level):
 
 def test_walk_outside_the_table_raises():
     t = level_lengths(red_chain(4), 2, [0.0, 0.3, 0.2, 0.1, 0.0])
-    for vertex, level in ((4, 0), (4, 4), (0, 1)):  # no level 0 or 4; White is +inf
+    for vertex, level in ((4, 0), (4, 3), (4, 4), (0, 1)):  # no level 0, 3 or 4; White is +inf
         with pytest.raises(ValueError, match="no path through"):
             backtrack_path(t, vertex, level)
 
@@ -356,7 +356,7 @@ def test_bypass_does_not_shortcut_interesting_path():
     x = [0.0] * c.n
     for i in range(3, 3 + k):
         x[i] = 1.0 / k
-    t = level_lengths(c, 2, x)
+    t = level_lengths(c, 3, x)
     # The bypass edge (u, v) carries 2 Reds only, so the constraint distance
     # is the full Blue chain, not the shortcut.
     assert t.lengths[3][v] == pytest.approx(1.0)
