@@ -25,16 +25,17 @@ packing column, entering at z = 0 with its violation as reduced cost, and a
 vertex new to the master is a new packing row whose slack is basic at 1.  So
 the last master's basis stays feasible, and each round starts from it
 (warm start) rather than from the all-slack basis, which only the first
-master uses; no phase 1 is needed.  The tableau B^-1 [A' | I | 1] is
-carried with the basis in a Master and extended by the new rows rather
-than solved for on entry (see Master.extend).  The master assumes all this
-of its one caller, solve_relaxation, and checks none of it, nor that each
-row is nonempty and within 0..n-1.  The tableau is rebuilt from its basis
-every REFACTOR_EVERY pivots, counted across rounds, which drops the
-rounding error pivots accumulate.  Pricing is Dantzig's rule (largest
-reduced cost, smallest index on ties); after BLAND_AFTER degenerate pivots
-in a row, Bland's smallest-index rule prices until the next nondegenerate
-pivot, so degenerate stretches cannot cycle.
+master uses; no phase 1 is needed.  The tableau B^-1 [A' | I | 1], with
+the reduced costs as its last row, is carried with the basis in a Master
+and extended by the new rows rather than solved for on entry (see
+Master.extend).  The master assumes all this of its one caller,
+solve_relaxation, and checks none of it, nor that each row is nonempty and
+within 0..n-1.  The tableau is rebuilt from its basis every REFACTOR_EVERY
+pivots, counted across rounds, which drops the rounding error pivots
+accumulate.  Pricing is Dantzig's rule (largest reduced cost, smallest
+index on ties); after BLAND_AFTER degenerate pivots in a row, Bland's
+smallest-index rule prices until the next nondegenerate pivot, so
+degenerate stretches cannot cycle.
 The ratio test reads negative right-hand sides as 0 and ratios within
 _TIE_TOL of the least as ties, which the smallest basic index leaves, so
 rounding noise cannot break Bland's rule.
@@ -89,20 +90,20 @@ class Master:
     The packing rows, the tableau rows and the slack columns all follow
     `vertices`, in descending id order; the packing columns follow the
     master's rows.  `packing` is A', one row per vertex and one column per
-    master row; `tableau` is B^-1 [A' | I | 1] for the basic column
-    `basis[i]` of each tableau row i, and `reduced` holds the reduced costs,
-    minus the objective last.  `pivots` counts pivots since the tableau was
-    last built from its basis.  A pivot updates only the tableau rows whose
-    entry in the entering column is nonzero: any other row would subtract
-    0 times the pivot row, which leaves it as it is up to the sign of a
-    zero.  A new Master is the state before the first round: no rows.
+    master row.  `tableau` has one row more than A': its rows 0..k-1 are
+    B^-1 [A' | I | 1] for the basic column `basis[i]` of each row i, and its
+    last row holds the reduced costs, minus the objective last.  `pivots`
+    counts pivots since the tableau was last built from its basis.  A pivot
+    updates only the tableau rows whose entry in the entering column is
+    nonzero, the reduced costs among them: any other row would subtract 0
+    times the pivot row, which leaves it as it is up to the sign of a zero.
+    A new Master is the state before the first round: no rows.
     """
 
     def __init__(self) -> None:
         self.vertices: list[int] = []
         self.packing = np.zeros((0, 0))
-        self.tableau = np.zeros((0, 1))
-        self.reduced = np.zeros(1)
+        self.tableau = np.zeros((1, 1))
         self.basis = np.zeros(0, dtype=np.intp)
         self.pivots = 0
 
@@ -114,7 +115,8 @@ class Master:
         A new vertex occurs only in new rows, so the old basic columns are 0
         on its packing row and B^-1 extends block-diagonally: the old tableau
         rows gain the new columns as B^-1 times their old-vertex part, and
-        the new vertex rows enter as they are in [A' | I | 1].
+        the new vertex rows enter as they are in [A' | I | 1].  The reduced
+        costs keep their old values and gain the new columns' violations.
         """
         k, m = self.packing.shape
         fresh = list(islice(rows, m, None))
@@ -127,37 +129,30 @@ class Master:
         vertex_at = [pos[v] for r in fresh for v in r]
         row_at = [i for i, r in enumerate(fresh, m) for _ in r]
         packing[vertex_at, row_at] = 1.0
+        tableau = np.eye(k2 + 1, m2 + k2 + 1, m2)  # the slack I (the last row's 1 is overwritten)
+        tableau[:-1, m:m2] = packing[:, m:]  # [A' | I | 1] in the new vertices' rows
+        tableau[:-1, -1] = 1.0
         # Where each old column goes: old packing columns stay, the new ones
         # follow them, and the slacks interleave with the new vertices'.
         moved = np.concatenate([np.arange(m), m2 + old, [m2 + k2]])
-        carried = np.zeros((k, m2 + k2 + 1))
-        carried[:, moved] = self.tableau
-        carried[:, m:m2] = self.tableau[:, m:-1] @ packing[old, m:]  # B^-1 times the new columns
-        tableau = np.zeros((k2, m2 + k2 + 1))
-        tableau[:, m:m2] = packing[:, m:]
-        tableau[:, m2:] = np.eye(k2, k2 + 1)
-        tableau[:, -1] = 1.0
-        tableau[old] = carried
+        tableau[np.append(old, k2)[:, None], moved] = self.tableau  # old rows, reduced costs last
+        tableau[old, m:m2] = self.tableau[:-1, m:-1] @ packing[old, m:]  # B^-1 times new columns
         basis = np.arange(m2, m2 + k2)
         basis[old] = moved[self.basis]
-        reduced = np.zeros(m2 + k2 + 1)
-        reduced[moved] = self.reduced
-        reduced[m:m2] = 1.0 - tableau[basis < m2, m:m2].sum(axis=0)
-        self.vertices, self.packing, self.tableau, self.reduced, self.basis = (
-            vertices, packing, tableau, reduced, basis,
-        )
+        tableau[-1, m:m2] = 1.0 - tableau[:-1][basis < m2, m:m2].sum(axis=0)
+        self.vertices, self.packing, self.tableau, self.basis = vertices, packing, tableau, basis
 
     def refactor(self) -> None:
-        """Rebuild the tableau and reduced costs from the basis, dropping the
-        rounding error that pivots accumulate."""
+        """Rebuild the tableau from the basis, dropping the rounding error
+        that pivots accumulate."""
         k, m = self.packing.shape
         full = np.hstack([self.packing, np.eye(k), np.ones((k, 1))])
         try:
-            self.tableau = np.linalg.solve(full[:, self.basis], full)
+            rows = np.linalg.solve(full[:, self.basis], full)
         except np.linalg.LinAlgError:
             raise NumericalFailure("singular simplex basis") from None
         cost = np.concatenate([np.ones(m), np.zeros(k + 1)])
-        self.reduced = cost - cost[self.basis] @ self.tableau
+        self.tableau = np.vstack([rows, cost - cost[self.basis] @ rows])
         self.pivots = 0
 
     def simplex(self) -> tuple[np.ndarray, np.ndarray]:
@@ -173,7 +168,7 @@ class Master:
         for _ in range(limit):
             if self.pivots >= REFACTOR_EVERY:
                 self.refactor()
-            tableau, reduced, basis = self.tableau, self.reduced, self.basis
+            tableau, reduced, basis = self.tableau, self.tableau[-1], self.basis
             if degenerate < BLAND_AFTER:
                 j = int(reduced[:-1].argmax())  # Dantzig: largest, then smallest index
             else:
@@ -181,9 +176,9 @@ class Master:
             if reduced[j] <= _REDCOST_TOL:
                 break
             col = tableau[:, j]
-            # Only entries above PIVOT_TOL may pivot; without one the direction
-            # is unbounded, which a packing LP over nonempty rows never is.
-            rows = (col > PIVOT_TOL).nonzero()[0]
+            # Only constraint entries above PIVOT_TOL pivot; without one the
+            # direction is unbounded, which a packing LP over nonempty rows never is.
+            rows = (col[:-1] > PIVOT_TOL).nonzero()[0]
             if rows.size == 0:
                 raise NumericalFailure("no pivot above tolerance: unbounded direction")
             # Negative right-hand sides count as 0 and near-equal ratios tie;
@@ -198,15 +193,14 @@ class Master:
             touched = col.nonzero()[0]  # the rows that change (see the class)
             tableau[touched] -= col[touched, None] * pivot_row  # col[touched] is a copy
             tableau[r] = pivot_row
-            reduced -= reduced[j] * pivot_row
             basis[r] = j
             self.pivots += 1
         else:
             raise IterationLimitExceeded("simplex iteration limit hit")
         z = np.zeros(m)
         packed = self.basis < m
-        z[self.basis[packed]] = self.tableau[packed, -1]
-        return np.clip(-self.reduced[m:-1], 0.0, 1.0), z
+        z[self.basis[packed]] = self.tableau[:-1][packed, -1]
+        return np.clip(-self.tableau[-1, m:-1], 0.0, 1.0), z
 
 
 def solve_restricted_master(

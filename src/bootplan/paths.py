@@ -46,14 +46,18 @@ from .circuit import Circuit, Color, require_level
 class LevelTables:
     """Per-level minimum path lengths.
 
-    lengths[i][v] for i in 1..budget (index 0 unused), each row the same at
-    any budget; weights is the x vector the table was computed against.
+    lengths[i][v] for i in 1..budget (index 0 unused, so the budget is the
+    row count less one), each row the same at any budget; weights is the x
+    vector the table was computed against.
     """
 
     circuit: Circuit
-    budget: int
     weights: list[float]
     lengths: list[list[float]]
+
+    @property
+    def budget(self) -> int:
+        return len(self.lengths) - 1
 
     @cached_property
     def intervals(self) -> tuple[np.ndarray, np.ndarray]:
@@ -92,7 +96,7 @@ def level_lengths(circuit: Circuit, level: int, weights: Sequence[float]) -> Lev
             row[v] = best
             plus[v] = best + x[v]
 
-    return LevelTables(circuit, level, x, lengths)
+    return LevelTables(circuit, x, lengths)
 
 
 def backtrack_path(tables: LevelTables, vertex: int, level: int) -> tuple[int, ...]:

@@ -2,9 +2,9 @@
 
 plan() is what `bootplan solve` runs between loading and reporting.  Its
 default method is the paper's pipeline: the covering LP by row generation,
-then threshold rounding of the level table that certified it.  The lp,
-rounding, exact and baselines steps are looked up through their modules at
-call time, so wrappers there (profilers, tracers) see every call to them.
+then threshold rounding of the level table that certified it.  Every step,
+the level sweeps of bootplan.circuit too, is looked up through its module
+at call time, so wrappers there (profilers, tracers) see every call to it.
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TextIO
 
-from . import baselines, exact, lp, rounding
-from .circuit import Circuit, eval_levels, is_feasible_by_levels, require_level
+from . import baselines, circuit as circuits, exact, lp, rounding
+from .circuit import Circuit, require_level
 
 METHODS = ("lp-round", "exact", "after-red", "greedy")
 
@@ -47,7 +47,7 @@ def plan(
     if method == "lp-round":
         # No interesting path exists for a budget at or above the unmarked
         # circuit's highest level, so any such budget solves like that level.
-        budget = max(1, min(level, max(eval_levels(circuit, frozenset()), default=0)))
+        budget = max(1, min(level, max(circuits.eval_levels(circuit, frozenset()), default=0)))
         relaxation = lp.solve_relaxation(circuit, budget, trace=trace)
         outcome = rounding.derandomized_round(circuit, budget, relaxation.tables)
         marks = outcome.marks
@@ -60,5 +60,5 @@ def plan(
         marks = baselines.greedy_topological(circuit, level)
     else:
         raise ValueError(f"unknown method {method!r}, expected one of {', '.join(METHODS)}")
-    verified = is_feasible_by_levels(circuit, marks, level)
+    verified = circuits.is_feasible_by_levels(circuit, marks, level)
     return Plan(marks, verified, relaxation, outcome, optimum)

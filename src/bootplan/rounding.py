@@ -69,10 +69,11 @@ def derandomized_round(circuit: Circuit, level: int, tables: LevelTables) -> Rou
     thresholds = [t for a, b in zip(points, points[1:]) for t in (a, (a + b) / 2.0)]
     thresholds.append(points[-1])
     lo, hi = tables.intervals
+    lo, hi = lo - MEMBERSHIP_TOL, hi + MEMBERSHIP_TOL
     distinct: list[tuple[int, float, np.ndarray]] = []
     seen: set[bytes] = set()
     for t in thresholds:
-        mask = ((lo - MEMBERSHIP_TOL <= t) & (t <= hi + MEMBERSHIP_TOL)).any(axis=0)
+        mask = ((lo <= t) & (t <= hi)).any(axis=0)
         key = mask.tobytes()
         if key in seen:
             continue

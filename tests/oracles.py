@@ -176,7 +176,7 @@ def level_lengths_reference(
                     best = cand
             row[v] = best
 
-    return LevelTables(circuit, level, x, lengths)
+    return LevelTables(circuit, x, lengths)
 
 
 def round_at(tables: LevelTables, level: int, t: float) -> frozenset[int]:
@@ -280,7 +280,8 @@ def assert_master_input(
     previous call's `earlier`, and the carried master is that call's.  Its
     vertices are those of `earlier` in descending order, its packing matrix
     holds exactly the rows of `earlier`, and each tableau row's basic column
-    is one of its packing or slack columns."""
+    is one of its packing or slack columns.  The tableau's last row holds
+    the reduced costs of the basis, within 1e-9."""
     for row in rows:
         assert row and all(0 <= v < n for v in row), f"bad row {sorted(row)}"
     assert list(rows[: len(earlier)]) == list(earlier), "rows do not extend the last master's"
@@ -288,8 +289,11 @@ def assert_master_input(
     held = [frozenset(master.vertices[j] for j in np.flatnonzero(c)) for c in master.packing.T]
     assert held == list(earlier), "packing matrix holds other rows"
     k, m = master.packing.shape
-    assert master.tableau.shape == (k, m + k + 1) and master.reduced.shape == (m + k + 1,)
+    assert master.tableau.shape == (k + 1, m + k + 1)
     assert master.basis.shape == (k,) and all(0 <= c < m + k for c in master.basis), "bad basis"
+    cost = np.concatenate([np.ones(m), np.zeros(k + 1)])
+    reduced = cost - cost[master.basis] @ master.tableau[:-1]
+    assert np.abs(master.tableau[-1] - reduced).max() <= 1e-9, "reduced costs drifted"
 
 
 def dvd_edges(instance: DvdInstance) -> tuple[tuple[int, int], ...]:

@@ -201,7 +201,7 @@ def test_corrupted_carried_tableau_is_repaired(monkeypatch):
     cycle = [frozenset({i, (i + 1) % 5}) for i in range(5)]
     master = Master()
     solve_restricted_master(5, cycle[:4], master)
-    master.tableau[:, -1] *= 0.5
+    master.tableau[:-1, -1] *= 0.5  # the constraint rows' right-hand sides
     refactor = lp.Master.refactor
     refactors = []
 
@@ -551,6 +551,31 @@ def test_lp_dense_shaped_objectives_are_frozen():
         "23.000000000", "25.500000000", "22.500000000", "22.500000000",
         "24.000000000", "28.500000000", "27.000000000", "25.000000000",
     ]
+
+
+def test_relaxation_outputs_are_frozen_bit_for_bit(monkeypatch):
+    # Every bit of the relaxation: the weights and objective as float.hex,
+    # the rows in the order they were added, and the round count.  The
+    # masters of the twelve lp-dense shapes above and of the 400-vertex
+    # circuit reach these exact floats only through the same pivots in the
+    # same arithmetic.  Their degenerate runs stay below BLAND_AFTER, so
+    # the 400-vertex circuit is solved once more with Bland's rule pricing
+    # after every degenerate pivot (412 times).
+    digest = hashlib.sha256()
+    cases = [(layered(10, 15, 0.5, s), 2, lp.BLAND_AFTER) for s in range(12)]
+    cases += [(layered(10, 40, 0.3, 1), 3, bland_after) for bland_after in (lp.BLAND_AFTER, 1)]
+    for circuit, level, bland_after in cases:
+        monkeypatch.setattr(lp, "BLAND_AFTER", bland_after)
+        result = solve_relaxation(circuit, level)
+        digest.update(repr((
+            [w.hex() for w in result.weights],
+            result.objective.hex(),
+            [sorted(row) for row in result.rows],
+            result.iterations,
+        )).encode())
+    assert digest.hexdigest() == (
+        "1b47cbbd70684b146947bdf7af7d3694c719cb29d794de05b9d372568299157e"
+    )
 
 
 def test_trace_lines_and_monotone_objective():

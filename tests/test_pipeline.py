@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from bootplan import circuit as circuits
 from bootplan.baselines import after_every_red, greedy_topological
 from bootplan.circuit import eval_levels
 from bootplan.exact import exact_bootstrap
@@ -69,6 +70,27 @@ def test_budgets_above_the_depth_plan_like_the_depth(circuit):
     # rows of the length table.
     depth = max(1, max(eval_levels(circuit, frozenset())))
     assert plan(circuit, 10**9) == plan(circuit, depth)
+
+
+def test_level_sweeps_are_looked_up_through_their_module():
+    # Three sweeps reach wrappers on bootplan.circuit: the budget clamp's and
+    # the ones inside rounding's check and plan's final check.  Of the two
+    # checks only plan's is looked up there; rounding's goes through
+    # bootplan.rounding.
+    calls = {"eval_levels": 0, "is_feasible_by_levels": 0}
+
+    def counted(name, f):
+        def call(*args):
+            calls[name] += 1
+            return f(*args)
+
+        return call
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in calls:
+            mp.setattr(circuits, name, counted(name, getattr(circuits, name)))
+        plan(red_chain(5), 2)
+    assert calls == {"eval_levels": 3, "is_feasible_by_levels": 1}
 
 
 def test_unknown_method_raises():

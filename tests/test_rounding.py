@@ -101,7 +101,7 @@ def test_no_feasible_candidate_raises():
     c = red_chain(3)
     inf = math.inf
     white_only = [0.0, inf, inf, inf]
-    tables = LevelTables(c, 1, [0.5, 0.0, 0.0, 0.0], [[inf] * 4, white_only, white_only])
+    tables = LevelTables(c, [0.5, 0.0, 0.0, 0.0], [[inf] * 4, white_only])
     masks = {round_at(tables, 1, t) for t in breakpoints(tables, 1)}
     assert masks == {frozenset({0}), frozenset()}
     with pytest.raises(NoFeasibleCandidate):
