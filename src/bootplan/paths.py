@@ -27,7 +27,8 @@ level 1: the expression the sweep stored in `plus`, so exact float equality
 finds the predecessor its strict < kept.  The table ends at level L, and
 from a pred u of a Red final at L the walk, the final appended, is the least
 interesting path through u, of length lengths[L][u] + x[u]: its non-final
-part is a row of the covering LP (see bootplan.lp).
+part is a row of the covering LP (see bootplan.lp).  The table is the
+separation oracle's; bootplan.rounding builds its own intervals from it.
 """
 
 from __future__ import annotations
@@ -35,16 +36,13 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
-
-import numpy as np
 
 from .circuit import Circuit, Color, require_level
 
 
 @dataclass(frozen=True, eq=False)
 class LevelTables:
-    """Per-level minimum path lengths.
+    """Per-level minimum path lengths, as plain lists.
 
     lengths[i][v] for i in 1..budget (index 0 unused, so the budget is the
     row count less one), each row the same at any budget; weights is the x
@@ -58,12 +56,6 @@ class LevelTables:
     @property
     def budget(self) -> int:
         return len(self.lengths) - 1
-
-    @cached_property
-    def intervals(self) -> tuple[np.ndarray, np.ndarray]:
-        """Rounding intervals [lo, hi] per level 1..budget (rows) and vertex."""
-        lo = np.asarray(self.lengths[1:])
-        return lo, lo + np.asarray(self.weights, dtype=float)
 
 
 def level_lengths(circuit: Circuit, level: int, weights: Sequence[float]) -> LevelTables:

@@ -20,7 +20,7 @@ from bootplan.exact import exact_bootstrap
 from bootplan.generate import layered, random_circuit, red_chain
 from bootplan.lp import solve_relaxation
 from bootplan.paths import level_lengths
-from bootplan.rounding import breakpoints, derandomized_round
+from bootplan.rounding import breakpoints, derandomized_round, intervals
 from oracles import exact_dvd, pull_back, random_dvd
 from strategies import build
 
@@ -122,7 +122,7 @@ def test_acceptance_03_rounding_feasible_at_every_threshold(capsys):
         if lp.objective > 1e-9:
             nontrivial += 1
         tables = level_lengths(c, level, lp.weights)
-        thresholds = breakpoints(tables, level) + [rng.random() for _ in range(20)]
+        thresholds = breakpoints(*intervals(tables)) + [rng.random() for _ in range(20)]
         for t in thresholds:
             checked += 1
             if not is_feasible_by_levels(c, oracles.round_at(tables, level, t), level):

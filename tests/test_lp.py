@@ -558,24 +558,32 @@ def test_relaxation_outputs_are_frozen_bit_for_bit(monkeypatch):
     # the rows in the order they were added, and the round count.  The
     # masters of the twelve lp-dense shapes above and of the 400-vertex
     # circuit reach these exact floats only through the same pivots in the
-    # same arithmetic.  Their degenerate runs stay below BLAND_AFTER, so
-    # the 400-vertex circuit is solved once more with Bland's rule pricing
-    # after every degenerate pivot (412 times).
-    digest = hashlib.sha256()
-    cases = [(layered(10, 15, 0.5, s), 2, lp.BLAND_AFTER) for s in range(12)]
-    cases += [(layered(10, 40, 0.3, 1), 3, bland_after) for bland_after in (lp.BLAND_AFTER, 1)]
-    for circuit, level, bland_after in cases:
+    # same arithmetic.  On single-threaded BLAS (conftest.py) the twelve
+    # never price by Bland's rule, while the 400-vertex circuit does 39
+    # times at the default BLAND_AFTER (its longest degenerate run is 71
+    # pivots), so its outputs differ from those of Dantzig pricing alone.
+    # It is solved once more with Bland's rule pricing after every
+    # degenerate pivot (598 times).
+    def outputs(circuit, level, bland_after):
         monkeypatch.setattr(lp, "BLAND_AFTER", bland_after)
         result = solve_relaxation(circuit, level)
-        digest.update(repr((
+        return repr((
             [w.hex() for w in result.weights],
             result.objective.hex(),
             [sorted(row) for row in result.rows],
             result.iterations,
-        )).encode())
+        ))
+
+    digest = hashlib.sha256()
+    default, big = lp.BLAND_AFTER, layered(10, 40, 0.3, 1)
+    cases = [(layered(10, 15, 0.5, s), 2, default) for s in range(12)]
+    cases += [(big, 3, default), (big, 3, 1)]
+    for case in cases:
+        digest.update(outputs(*case).encode())
     assert digest.hexdigest() == (
         "1b47cbbd70684b146947bdf7af7d3694c719cb29d794de05b9d372568299157e"
     )
+    assert outputs(big, 3, 10**9) != outputs(big, 3, default)
 
 
 def test_trace_lines_and_monotone_objective():

@@ -126,15 +126,6 @@ def test_chain_table_frozen_values():
     assert t.lengths[4] == pytest.approx([inf, inf, inf, inf, 0.6])
 
 
-def test_intervals_are_levels_one_to_budget_plus_weights():
-    c = red_chain(4)
-    x = [0.0, 0.3, 0.2, 0.1, 0.0]
-    t = level_lengths(c, 3, x)
-    lo, hi = t.intervals
-    assert lo.tolist() == t.lengths[1:4]
-    assert hi.tolist() == [[a + w for a, w in zip(row, x)] for row in t.lengths[1:4]]
-
-
 def test_table_red_base_and_white_rows():
     c = build("wrbr", (0, 1, 2), (1, 2, 2), (2, 3, 1), (1, 3, 1))
     t = level_lengths(c, 3, [0.0, 0.25, 0.5, 0.0])

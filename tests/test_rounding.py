@@ -13,7 +13,7 @@ from bootplan.errors import NoFeasibleCandidate
 from bootplan.generate import layered, random_circuit, red_chain
 from bootplan.lp import solve_relaxation
 from bootplan.paths import LevelTables, level_lengths
-from bootplan.rounding import breakpoints, derandomized_round
+from bootplan.rounding import breakpoints, derandomized_round, intervals
 from oracles import round_at
 from strategies import build, levels_st, weighted_circuits
 
@@ -48,9 +48,18 @@ def test_round_at_membership_is_inclusive():
     assert 4 in round_at(tables, 3, 0.125)
 
 
+def test_intervals_are_levels_one_to_budget_plus_weights():
+    c = red_chain(4)
+    x = [0.0, 0.3, 0.2, 0.1, 0.0]
+    t = level_lengths(c, 3, x)
+    lo, hi = intervals(t)
+    assert lo.tolist() == t.lengths[1:4]
+    assert hi.tolist() == [[a + w for a, w in zip(row, x)] for row in t.lengths[1:4]]
+
+
 def test_breakpoints_frozen():
     _, tables = chain_tables()
-    assert breakpoints(tables, 3) == [0.0, 0.125, 0.25, 0.5, 0.625, 0.75, 0.875, 1.0]
+    assert breakpoints(*intervals(tables)) == [0.0, 0.125, 0.25, 0.5, 0.625, 0.75, 0.875, 1.0]
 
 
 def test_breakpoints_bound():
@@ -60,7 +69,7 @@ def test_breakpoints_bound():
         level = rng.choice((1, 2, 3))
         weights = [rng.random() for _ in range(c.n)]
         tables = level_lengths(c, level, weights)
-        pts = breakpoints(tables, level)
+        pts = breakpoints(*intervals(tables))
         assert len(pts) <= 2 * c.n * level + 2
         assert pts[0] == 0.0 and pts[-1] == 1.0
         assert pts == sorted(set(pts))
@@ -102,7 +111,7 @@ def test_no_feasible_candidate_raises():
     inf = math.inf
     white_only = [0.0, inf, inf, inf]
     tables = LevelTables(c, [0.5, 0.0, 0.0, 0.0], [[inf] * 4, white_only])
-    masks = {round_at(tables, 1, t) for t in breakpoints(tables, 1)}
+    masks = {round_at(tables, 1, t) for t in breakpoints(*intervals(tables))}
     assert masks == {frozenset({0}), frozenset()}
     with pytest.raises(NoFeasibleCandidate):
         derandomized_round(c, 1, tables)
@@ -110,9 +119,7 @@ def test_no_feasible_candidate_raises():
 
 def test_budget_mismatch_rejected():
     c, tables = chain_tables(level=3)
-    with pytest.raises(ValueError):
-        breakpoints(tables, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="different budget"):
         derandomized_round(c, 2, tables)
 
 
@@ -131,7 +138,7 @@ def test_round_at_never_marks_white(args, level):
     circuit, weights = args
     tables = level_lengths(circuit, level, weights)
     whites = {v for v in range(circuit.n) if circuit.colors[v] is Color.WHITE}
-    for t in breakpoints(tables, level):
+    for t in breakpoints(*intervals(tables)):
         assert round_at(tables, level, t).isdisjoint(whites)
 
 
@@ -140,7 +147,7 @@ def test_round_at_never_marks_white(args, level):
 def test_round_at_constant_between_breakpoints(args, level):
     circuit, weights = args
     tables = level_lengths(circuit, level, weights)
-    pts = breakpoints(tables, level)
+    pts = breakpoints(*intervals(tables))
     for a, b in zip(pts, pts[1:]):
         if b - a < 1e-6:
             continue
@@ -165,7 +172,7 @@ def test_rounding_lp_solution_feasible_at_every_breakpoint():
         level = rng.choice((1, 2, 3))
         result = solve_relaxation(c, level)
         tables = level_lengths(c, level, result.weights)
-        for t in breakpoints(tables, level):
+        for t in breakpoints(*intervals(tables)):
             marks = round_at(tables, level, t)
             assert is_feasible_by_levels(c, marks, level)
         for _ in range(10):
@@ -182,7 +189,7 @@ def test_derandomized_is_minimum_over_thresholds():
         tables = level_lengths(c, level, result.weights)
         outcome = derandomized_round(c, level, tables)
         assert is_feasible_by_levels(c, outcome.marks, level)
-        pts = breakpoints(tables, level)
+        pts = breakpoints(*intervals(tables))
         probes = pts + [(a + b) / 2 for a, b in zip(pts, pts[1:])]
         best = min(len(round_at(tables, level, t)) for t in probes)
         assert outcome.cardinality == best
