@@ -196,6 +196,7 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("circuit")
     check.add_argument("marks")
     check.add_argument("--level", type=int, required=True)
+    check.set_defaults(run=cmd_check)
 
     solve = sub.add_parser("solve", help="compute a mark set")
     solve.add_argument("circuit")
@@ -203,10 +204,12 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--method", choices=METHODS, default="lp-round")
     solve.add_argument("--out")
     solve.add_argument("--trace")
+    solve.set_defaults(run=cmd_solve)
 
     reduce_p = sub.add_parser("reduce-dvd", help="reduce a deletion instance to a circuit")
     reduce_p.add_argument("dvd")
     reduce_p.add_argument("--out")
+    reduce_p.set_defaults(run=cmd_reduce_dvd)
 
     gen = sub.add_parser("gen", help="generate a circuit file")
     gen.add_argument("--kind", choices=("layered", "series-parallel", "red-chain"), required=True)
@@ -217,6 +220,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--width", type=int, default=10)
     gen.add_argument("--size", type=int, default=40, help="series-parallel target size")
     gen.add_argument("--red-fraction", type=float, default=0.5)
+    gen.set_defaults(run=cmd_gen)
 
     return parser
 
@@ -224,21 +228,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "check": cmd_check,
-        "solve": cmd_solve,
-        "reduce-dvd": cmd_reduce_dvd,
-        "gen": cmd_gen,
-    }
     try:
-        code = handlers[args.command](args)
+        return args.run(args)
     except ResourceLimit as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (BootplanError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return code
 
 
 if __name__ == "__main__":

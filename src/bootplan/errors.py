@@ -60,8 +60,8 @@ class NumericalFailure(BootplanError):
 
 
 class NoFeasibleCandidate(BootplanError):
-    """No rounding candidate passed the exact feasibility re-check.
-
-    This signals an internal bug (every candidate is feasible by
-    construction); it is surfaced instead of silently repaired.
-    """
+    """No rounding candidate passed the exact feasibility re-check.  At a
+    table the LP certified, every threshold up to 1 - VIOLATION_TOL gives a
+    feasible set (test_acceptance_03 checks 500 instances), so from solve
+    this signals a bug.  Tables built from other weights can give infeasible
+    sets, which the scan skips."""

@@ -99,32 +99,29 @@ def exact_bootstrap(
     n = len(pool)
     if 1 << n > max_subsets:
         raise TooLarge(f"candidate space over {n} vertices exceeds {max_subsets} subsets")
-    # Vertices are rows by pool position; White predecessors read row n, all 0.
-    row = {v: i for i, v in enumerate(pool)}
-    sweep = [(row[v], row.get(a, n), row.get(b, n), red) for v, red, a, b in circuit.gates]
     bound = len(disjoint_rows(circuit, level))
-    stream = chain.from_iterable(combinations(range(n), k) for k in range(bound, n + 1))
+    stream = chain.from_iterable(combinations(pool, k) for k in range(bound, n + 1))
     explored = sum(comb(n, k) for k in range(bound))
     block = BLOCK_MIN
     while batch := list(islice(stream, block)):
         cols = len(batch)
         marked = np.fromiter(chain.from_iterable(batch), np.intp)
-        keep = np.ones((n, cols), np.int64)
+        keep = np.ones((circuit.n, cols), np.int64)
         keep[marked, np.repeat(np.arange(cols), list(map(len, batch)))] = 0
-        # passed: each vertex's level, 0 where marked; top: each subset's
-        # highest level.  Levels count Reds on a path, so int64 cannot wrap.
-        passed = np.zeros((n + 1, cols), np.int64)
+        # Rows are vertex ids.  passed: each level, 0 where marked or White
+        # (no gate writes a White's row); top: each subset's highest level.
+        # Levels count Reds on a path, so int64 cannot wrap.
+        passed = np.zeros((circuit.n, cols), np.int64)
         top = np.zeros(cols, np.int64)
-        for i, a, b, red in sweep:
+        for v, red, a, b in circuit.gates:
             lv = np.maximum(passed[a], passed[b])
             if red:
                 lv += 1
                 np.maximum(top, lv, out=top)
-            np.multiply(lv, keep[i], out=passed[i])
+            np.multiply(lv, keep[v], out=passed[v])
         hits = np.flatnonzero(top <= level)
         if hits.size:
             first = batch[hits[0]]
-            witness = frozenset(pool[i] for i in first)
-            return ExactResult(len(first), witness, explored + int(hits[0]) + 1)
+            return ExactResult(len(first), frozenset(first), explored + int(hits[0]) + 1)
         explored += cols
         block = min(2 * block, BLOCK_MAX)

@@ -118,7 +118,7 @@ class Master:
         the new vertex rows enter as they are in [A' | I | 1].  The reduced
         costs keep their old values and gain the new columns' violations.
         """
-        k, m = self.packing.shape
+        m = self.packing.shape[1]
         fresh = list(islice(rows, m, None))
         vertices = sorted(set(self.vertices).union(*fresh), reverse=True)
         k2, m2 = len(vertices), m + len(fresh)
@@ -278,7 +278,7 @@ def solve_relaxation(
             trace.write(f"{iteration}\t{objective:.9f}\t{len(short)}\n")
         if not short:
             return LpResult(
-                weights=weights,
+                weights=tables.weights,
                 objective=objective,
                 iterations=iteration,
                 rows=tuple(rows),

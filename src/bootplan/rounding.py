@@ -3,13 +3,13 @@
 Every vertex v owns, per level i in 1..L, the interval
 [lengths[i][v], lengths[i][v] + x_v], which intervals reads off the level
 table as two arrays.  A threshold t marks v when t lands in any of its
-intervals.  At an LP-feasible x this is feasible for every t in [0,1]:
-walking the Red vertices of an interesting path, the level-indexed lengths
-start at 0, grow by at most x of the previous Red per step, and reach at
-least 1 at the final, so the intervals of the non-final Reds cover [0,1] and
-one of them catches t.  A vertex is caught by at most L intervals, so the
-expected number of marks under uniform t is at most L * sum(x), which is
-what makes the derandomized minimum an L-approximation.
+intervals.  At x the LP certified, every t up to 1 - VIOLATION_TOL gives a
+feasible set: along an interesting path the level-indexed lengths at its Reds
+start at 0, grow by at most x of the previous Red per step, and reach 1 -
+VIOLATION_TOL at the final, so an interval of a non-final Red catches t.
+Other x can give infeasible sets, which the scan skips.  A vertex is caught
+by at most L intervals, so the expected number of marks under uniform t is
+at most L * sum(x), which makes the derandomized minimum an L-approximation.
 
 derandomized_round scans every breakpoint and gap midpoint, so it is never
 worse than any single uniform draw: the marking function of t can only

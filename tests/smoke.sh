@@ -10,6 +10,11 @@
 # All files go to a temporary directory, which is removed on exit.
 set -euxo pipefail
 
+# Single-threaded BLAS, as tests/conftest.py and planbench/run.py run the
+# solver: the master simplex's pivots, and so the Bland's rule counts noted
+# below, follow the thread count.
+export OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1
+
 dir=$(mktemp -d)
 trap 'rm -rf "$dir"' EXIT
 cd "$dir"

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import oracles
 from bootplan.baselines import greedy_topological
-from bootplan.circuit import eval_levels, validate
+from bootplan.circuit import Color, eval_levels, validate
 from bootplan.exact import disjoint_rows, exact_bootstrap
 from bootplan.paths import level_lengths
 from strategies import build, circuit_parts, levels_st
@@ -55,9 +55,15 @@ def test_sweeps_answer_alike_under_relabeled_ids(case, level, data):
     assert len(marked) == len(set(marked))
     assert {p[:-1] for p in oracles.interesting_paths_brute(moved, level)}.issuperset(rows)
 
-    optimum = exact_bootstrap(moved, level).optimum
-    assert optimum == exact_bootstrap(circuit, level).optimum
-    assert len(rows) <= optimum
+    # The exact kernel indexes its rows by vertex id, so Whites may sit at any
+    # id: the whole result must match the reference subset loop.
+    exact = exact_bootstrap(moved, level)
+    pool = [v for v in range(n) if moved.colors[v] is not Color.WHITE]
+    assert exact == oracles.smallest_feasible(
+        pool, lambda marks: oracles.feasible_brute(moved, marks, level)
+    )
+    assert exact.optimum == exact_bootstrap(circuit, level).optimum
+    assert len(rows) <= exact.optimum
 
     weights = data.draw(st.lists(tie_weights, min_size=n, max_size=n))
     got = level_lengths(moved, level, weights)
