@@ -12,16 +12,17 @@ Exit codes, for every command:
 from __future__ import annotations
 
 import argparse
+import logging
 import os
 import sys
 import time
 from collections import Counter
 from collections.abc import Iterator
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from typing import TextIO
 
-from . import formats, generate
+from . import formats, generate, lp
 from .circuit import Circuit, eval_levels, require_level
 from .dvd import reduce_to_circuit
 from .errors import BootplanError, ResourceLimit
@@ -38,13 +39,6 @@ def _read(path: str) -> str:
         return Path(path).read_text()
     except OSError as exc:
         raise BootplanError(f"cannot read {path}: {exc.strerror}") from exc
-
-
-def _open_out(path: str) -> TextIO:
-    try:
-        return open(path, "w")
-    except OSError as exc:
-        raise BootplanError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _same_file(a: str, b: str) -> bool:
@@ -68,16 +62,41 @@ def _require_distinct(source: str, first: str | None, second: str | None) -> Non
 
 
 @contextmanager
-def _output(path: str) -> Iterator[TextIO]:
-    """_open_out for a file written whole or not at all: deleted if the body raises."""
-    with _open_out(path) as f:
+def _output(path: str, keep: bool = False) -> Iterator[TextIO]:
+    """`path`, open for the body, which writes to no other file: an OSError
+    opening, writing or closing it raises BootplanError.  Unless `keep`, a
+    body or close that raises deletes it, so it is written whole or not at all."""
+    try:
+        f = open(path, "w")
         try:
-            yield f
+            with f:
+                yield f
         except BaseException:
-            f.close()
-            if Path(path).is_file():  # never unlink a device such as /dev/null
+            if not keep and Path(path).is_file():  # never unlink a device such as /dev/null
                 Path(path).unlink()
             raise
+    except OSError as exc:
+        raise BootplanError(f"cannot write {path}: {exc.strerror}") from exc
+
+
+class _RoundsHandler(logging.StreamHandler):
+    def handleError(self, record: logging.LogRecord) -> None:
+        raise  # emit's write error stops the solve; logging's default reports it and goes on
+
+
+@contextmanager
+def _rounds_to(path: str) -> Iterator[None]:
+    """For the body's length, the relaxation's rounds (bootplan.lp's
+    records) go to `path`, which a failure keeps: its rounds explain it."""
+    with _output(path, keep=True) as f:
+        handler, level = _RoundsHandler(f), lp.logger.level
+        lp.logger.addHandler(handler)
+        lp.logger.setLevel(logging.INFO)
+        try:
+            yield
+        finally:
+            lp.logger.removeHandler(handler)
+            lp.logger.setLevel(level)
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -129,16 +148,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
     _require_distinct(args.circuit, args.out, args.trace)
     require_level(args.level)
     circuit = formats.parse_circuit(_read(args.circuit), source=args.circuit)
-    with ExitStack() as files:
-        # A failed solve leaves no report, but its trace explains the failure.
-        out = files.enter_context(_output(args.out)) if args.out else None
-        trace = files.enter_context(_open_out(args.trace)) if args.trace else None
-        start = time.perf_counter()
-        result = plan(circuit, args.level, args.method, trace=trace)
-        pairs = _solve_report(args, circuit, result, time.perf_counter() - start)
-        print("\n".join(f"{k}: {v}" for k, v in pairs))
+    with _output(args.out) if args.out else nullcontext() as out:
+        with _rounds_to(args.trace) if args.trace else nullcontext():
+            start = time.perf_counter()
+            result = plan(circuit, args.level, args.method)
+            pairs = _solve_report(args, circuit, result, time.perf_counter() - start)
         if out is not None:
             out.write("".join(f"{k}\t{v}\n" for k, v in pairs))
+    print("\n".join(f"{k}: {v}" for k, v in pairs))
     return EXIT_OK if result.verified else EXIT_INFEASIBLE
 
 
@@ -157,13 +174,11 @@ def cmd_reduce_dvd(args: argparse.Namespace) -> int:
         joined = " ".join(rmap.circuit.name_of(w) for w in chain)
         map_lines.append(f"gadget\t{instance.names[v]}\t{joined}")
     map_text = "\n".join(map_lines) + "\n"
-    if args.out:
-        with _output(args.out) as out, _output(map_path) as map_file:
-            out.write(circuit_text)
+    with _output(args.out) if args.out else nullcontext(sys.stdout) as out:
+        out.write(circuit_text)
+        out.flush()  # its write errors surface before the map is opened
+        with _output(map_path) if args.out else nullcontext(sys.stdout) as map_file:
             map_file.write(map_text)
-    else:
-        sys.stdout.write(circuit_text)
-        sys.stdout.write(map_text)
     return EXIT_OK
 
 
@@ -177,11 +192,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
     else:
         circuit = generate.series_parallel(args.size, args.red_fraction, args.seed)
     text = formats.format_circuit(circuit)
-    if args.out:
-        with _output(args.out) as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+    with _output(args.out) if args.out else nullcontext(sys.stdout) as f:
+        f.write(text)
     return EXIT_OK
 
 

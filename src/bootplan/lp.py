@@ -48,10 +48,10 @@ again raises NumericalFailure.
 
 from __future__ import annotations
 
+import logging
 from collections.abc import Collection, Iterable, Set
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import TextIO
 
 import numpy as np
 
@@ -67,6 +67,8 @@ CERT_TOL = 1e-9
 REFACTOR_EVERY = 100  # pivots, across rounds, between rebuilds of the tableau from its basis
 ROUNDS_PER_VERTEX_LEVEL = 10  # row-generation rounds allowed per vertex and level
 BLAND_AFTER = 50  # consecutive degenerate pivots before Bland's rule prices
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -241,19 +243,14 @@ def solve_restricted_master(
     return weights, objective
 
 
-def solve_relaxation(
-    circuit: Circuit,
-    level: int,
-    *,
-    trace: TextIO | None = None,
-) -> LpResult:
+def solve_relaxation(circuit: Circuit, level: int) -> LpResult:
     """Row generation until no interesting-path constraint is violated.
 
     Each iteration solves the master, recomputes the length table at the new
     weights, and adds the row walked back from each short pred of a Red
     final (see the module docstring).  The result carries the last table,
-    which has no short pred.  `trace`, when given, receives one tab-separated
-    line per iteration: index, objective, rows added.
+    which has no short pred.  Each iteration logs one INFO record on
+    `logger`, a tab-separated line of (index, objective, rows added).
     """
     require_level(level)
     n, preds, finals = circuit.n, circuit.preds, circuit.red_vertices
@@ -274,8 +271,7 @@ def solve_relaxation(
                     "separation found a violated row already present in the master"
                 )
             rows[row] = None
-        if trace is not None:
-            trace.write(f"{iteration}\t{objective:.9f}\t{len(short)}\n")
+        logger.info("%d\t%.9f\t%d", iteration, objective, len(short))
         if not short:
             return LpResult(
                 weights=tables.weights,

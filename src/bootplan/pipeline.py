@@ -4,13 +4,12 @@ plan() is what `bootplan solve` runs between loading and reporting.  Its
 default method is the paper's pipeline: the covering LP by row generation,
 then threshold rounding of the level table that certified it.  Every step,
 the level sweeps of bootplan.circuit too, is looked up through its module
-at call time, so wrappers there (profilers, tracers) see every call to it.
+at call time, so wrappers there, such as profilers, see every call to it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TextIO
 
 from . import baselines, circuit as circuits, exact, lp, rounding
 from .circuit import Circuit, require_level
@@ -29,18 +28,11 @@ class Plan:
     exact: exact.ExactResult | None = None
 
 
-def plan(
-    circuit: Circuit,
-    level: int,
-    method: str = "lp-round",
-    *,
-    trace: TextIO | None = None,
-) -> Plan:
+def plan(circuit: Circuit, level: int, method: str = "lp-round") -> Plan:
     """Mark set for `circuit` at noise budget `level` by one of METHODS.
 
-    lp-round rounds by the derandomized threshold scan.  trace receives the
-    relaxation's per-round lines.  Raises ValueError for a bad level and an
-    unknown method, both before solving.
+    lp-round rounds by the derandomized threshold scan.  Raises ValueError
+    for a bad level and an unknown method, both before solving.
     """
     require_level(level)
     relaxation = outcome = optimum = None
@@ -48,7 +40,7 @@ def plan(
         # No interesting path exists for a budget at or above the unmarked
         # circuit's highest level, so any such budget solves like that level.
         budget = max(1, min(level, max(circuits.eval_levels(circuit, frozenset()), default=0)))
-        relaxation = lp.solve_relaxation(circuit, budget, trace=trace)
+        relaxation = lp.solve_relaxation(circuit, budget)
         outcome = rounding.derandomized_round(circuit, budget, relaxation.tables)
         marks = outcome.marks
     elif method == "exact":

@@ -2,9 +2,9 @@
 # Smoke run of the installed `bootplan` console script.
 #
 # It checks only what the pytest suite cannot see through cli.main: that the
-# entry point runs each command and returns each documented exit code, and
-# five wall-clock guards.  Every other command-line check lives in
-# tests/test_cli.py.
+# entry point runs each command and returns each documented exit code, five
+# wall-clock guards, and one trace line per round at scale.  Every other
+# command-line check lives in tests/test_cli.py.
 #
 # Usage, with `bootplan` on PATH:  bash tests/smoke.sh
 # All files go to a temporary directory, which is removed on exit.
@@ -51,11 +51,12 @@ grep -P '^marks\t$' huge.tsv
 
 # The 750-vertex circuit at L = 3 once hit the simplex iteration cap.  Seed
 # 1 never prices by Bland's rule; seed 3 does, over a thousand times, in
-# degenerate runs of over a thousand pivots.
+# degenerate runs of over a thousand pivots.  Each round is one trace line.
 for seed in 1 3; do
   bootplan gen --kind layered --layers 15 --width 50 --red-fraction 0.3 --seed "$seed" --out big.circuit
-  timeout 120 bootplan solve big.circuit --level 3 --out big.tsv
+  timeout 120 bootplan solve big.circuit --level 3 --out big.tsv --trace big.trace
   verified big.tsv
+  test "$(wc -l < big.trace)" -eq "$(grep -oP '^lp_iterations\t\K\d+$' big.tsv)"
 done
 
 # Exact search: 12 marks of 15 candidates, found in blocks.

@@ -5,7 +5,11 @@ from __future__ import annotations
 import hashlib
 import os
 import random
+import re
+import signal
 import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -200,6 +204,51 @@ def test_failed_solve_removes_its_report_file(tmp_path, capsys):
     assert trace.exists()  # kept: its rounds explain a failed solve
 
 
+def test_failed_lp_solve_keeps_its_rounds(tmp_path, capsys, monkeypatch):
+    # A cap of one round: the first adds a row, so row generation gives up.
+    monkeypatch.setattr(lp, "ROUNDS_PER_VERTEX_LEVEL", 0)
+    circuit = write(tmp_path, "c.txt", CHAIN)
+    report, trace = tmp_path / "capped.tsv", tmp_path / "capped.trace"
+    before = (list(lp.logger.handlers), lp.logger.level)
+    argv = ["solve", circuit, "--level", "3", "--out", str(report), "--trace", str(trace)]
+    assert main(argv) == 3
+    assert "error: row generation exceeded 1 iterations" in capsys.readouterr().err
+    assert not report.exists()
+    assert trace.read_text() == "1\t0.000000000\t1\n"
+    assert (list(lp.logger.handlers), lp.logger.level) == before  # no handler leaks
+
+
+def test_running_solve_trace_holds_its_finished_rounds(tmp_path):
+    # Seed 3 takes seconds on one BLAS thread (see smoke.sh), so it is still
+    # running when its first rounds must already be in the file.
+    circuit = write(
+        tmp_path, "big.txt", formats.format_circuit(generate.layered(15, 50, 0.3, 3))
+    )
+    trace = tmp_path / "big.trace"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = [sys.executable, "-m", "bootplan.cli", "solve", circuit, "--level", "3",
+            "--trace", str(trace)]
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        time.sleep(1.0)
+        # Wait longer only while no round is written, on a slow machine.
+        deadline = time.monotonic() + 60
+        while proc.poll() is None and "\n" not in trace.read_text() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        proc.send_signal(signal.SIGTERM)
+        proc.wait(timeout=10)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    rounds = [line.split("\t") for line in trace.read_text().split("\n")[:-1]]
+    assert rounds, "no round was written while the solve ran"
+    for i, fields in enumerate(rounds, 1):
+        assert fields[0] == str(i) and re.fullmatch(r"\d+\.\d{9}", fields[1])
+        assert int(fields[2]) > 0  # every round adds rows until the last, not reached
+
+
 def test_simplex_iteration_cap_exits_3(tmp_path, capsys, monkeypatch):
     def capped(master):
         raise IterationLimitExceeded("simplex iteration limit hit")
@@ -311,6 +360,23 @@ def test_unwritable_outputs_exit_2(tmp_path, capsys):
             assert captured.out == ""  # failed before solving
     assert not (tmp_path / "r.txt").exists()  # reduce-dvd wrote neither output
     assert blocked.is_dir() and not any(blocked.iterdir())
+    if not Path("/dev/full").exists():
+        return
+    # Each opens, and fails on write or close: no space left on the device.
+    report, trace = tmp_path / "full.tsv", tmp_path / "full.trace"
+    full_runs = [
+        ["solve", circuit, "--level", "1", "--out", "/dev/full", "--trace", str(trace)],
+        ["solve", circuit, "--level", "1", "--out", str(report), "--trace", "/dev/full"],
+        ["gen", "--kind", "red-chain", "--out", "/dev/full"],
+        ["reduce-dvd", dvd, "--out", "/dev/full"],
+    ]
+    for argv in full_runs:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: cannot write /dev/full: No space left on device\n"
+        assert captured.out == ""
+    assert not report.exists()  # the failed solve left no report
+    assert trace.read_text().count("\n") == 2  # and kept its rounds
 
 
 def test_usage_errors_exit_2(tmp_path, capsys):

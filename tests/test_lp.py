@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import hashlib
-import io
+import logging
 import math
 import random
 
@@ -586,20 +586,23 @@ def test_relaxation_outputs_are_frozen_bit_for_bit(monkeypatch):
     assert outputs(big, 3, 10**9) != outputs(big, 3, default)
 
 
-def test_trace_lines_and_monotone_objective():
+def test_trace_lines_and_monotone_objective(caplog):
+    # One INFO record per round on bootplan.lp, whose args carry the values.
     c = build("wrrrrrr", *[(i, i + 1, 2) for i in range(6)])
-    buf = io.StringIO()
-    result = solve_relaxation(c, 2, trace=buf)
-    lines = [ln for ln in buf.getvalue().splitlines() if ln]
-    assert len(lines) == result.iterations
-    objectives = []
-    for i, line in enumerate(lines, start=1):
-        idx, obj, added = line.split("\t")
-        assert int(idx) == i
-        objectives.append(float(obj))
-        assert int(added) >= 0
+    with caplog.at_level(logging.INFO, logger="bootplan.lp"):
+        result = solve_relaxation(c, 2)
+    records = [r for r in caplog.records if r.name == "bootplan.lp"]
+    assert len(records) == result.iterations
+    assert all(r.levelno == logging.INFO for r in records)
+    assert [r.args[0] for r in records] == list(range(1, result.iterations + 1))
+    objectives = [r.args[1] for r in records]
     assert objectives == sorted(objectives)
-    assert int(lines[-1].split("\t")[2]) == 0
+    assert objectives[-1] == result.objective
+    added = [r.args[2] for r in records]
+    assert all(a > 0 for a in added[:-1]) and added[-1] == 0
+    assert sum(added) == result.constraints_generated
+    for r in records:
+        assert r.getMessage() == f"{r.args[0]}\t{r.args[1]:.9f}\t{r.args[2]}"
 
 
 def test_iteration_limit_raises(monkeypatch):
